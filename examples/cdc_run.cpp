@@ -21,8 +21,8 @@
 #include "apps/mcb.h"
 #include "apps/taskfarm.h"
 #include "minimpi/simulator.h"
+#include "obs/stats.h"
 #include "runtime/storage.h"
-#include "support/stats.h"
 #include "tool/recorder.h"
 #include "tool/replayer.h"
 
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
     std::printf("recorded : %llu events, %llu chunks, %s -> %s\n",
                 static_cast<unsigned long long>(totals.matched_events),
                 static_cast<unsigned long long>(totals.chunks),
-                support::format_bytes(
+                obs::format_bytes(
                     static_cast<double>(store->total_bytes())).c_str(),
                 options.dir.c_str());
     std::printf("digest   : %016llx\n",

@@ -6,8 +6,8 @@
 //
 // Usage:
 //   cdc_served --root DIR --tenant NAME:TOKEN[:MAX_MB[:MAX_RECORDS]] ...
-//              [--host H] [--port P] [--sink inline|service|retrying]
-//              [--workers N] [--queue-batches N] [--max-level LEVEL]
+//              [--host H] [--port P] [--sink inline|service]
+//              [--workers N] [--queue-batches N]
 //              [--ingest-delay-us N] [--duration-s N]
 //              [--drain-timeout-ms N]
 //              [--crash-sync-batch N] [--crash-ack-batch N]
@@ -29,11 +29,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <thread>
 
-#include "compress/deflate.h"
 #include "net/server.h"
 
 namespace {
@@ -45,8 +43,8 @@ void usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --root DIR --tenant NAME:TOKEN[:MAX_MB[:MAX_RECORDS]]...\n"
-      "          [--host H] [--port P] [--sink inline|service|retrying]\n"
-      "          [--workers N] [--queue-batches N] [--max-level LEVEL]\n"
+      "          [--host H] [--port P] [--sink inline|service]\n"
+      "          [--workers N] [--queue-batches N]\n"
       "          [--ingest-delay-us N] [--duration-s N]\n"
       "          [--drain-timeout-ms N] [--crash-sync-batch N]\n"
       "          [--crash-ack-batch N] [--crash-before-seal]\n"
@@ -118,8 +116,6 @@ int main(int argc, char** argv) {
         config.sink_mode = cdc::net::SinkMode::kInline;
       else if (std::strcmp(v, "service") == 0)
         config.sink_mode = cdc::net::SinkMode::kService;
-      else if (std::strcmp(v, "retrying") == 0)
-        config.sink_mode = cdc::net::SinkMode::kRetrying;
       else { std::fprintf(stderr, "bad --sink\n"); return 2; }
     } else if (arg == "--workers") {
       const char* v = next();
@@ -129,15 +125,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) { usage(argv[0]); return 2; }
       config.ingest_queue_batches = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--max-level") {
-      const char* v = next();
-      const auto level =
-          v == nullptr ? std::nullopt : cdc::compress::deflate_level_from_name(v);
-      if (!level.has_value()) {
-        std::fprintf(stderr, "bad --max-level\n");
-        return 2;
-      }
-      config.max_level = *level;
     } else if (arg == "--ingest-delay-us") {
       const char* v = next();
       if (v == nullptr) { usage(argv[0]); return 2; }

@@ -40,6 +40,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
+#include "obs/stats.h"
 #include "obs/trace.h"
 #include "record/chunk.h"
 #include "runtime/storage.h"
@@ -48,7 +49,6 @@
 #include "store/container_store.h"
 #include "store/decompression_service.h"
 #include "support/oracle.h"
-#include "support/stats.h"
 #include "tool/degraded.h"
 #include "tool/frame.h"
 #include "tool/frame_sink.h"
@@ -119,7 +119,7 @@ void inspect(const runtime::RecordStore& store) {
                         static_cast<double>(total_events)
                   : 0.0,
               static_cast<unsigned long long>(total_values),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(store.total_bytes())).c_str(),
               total_events > 0
                   ? static_cast<double>(store.total_bytes()) /
@@ -173,9 +173,9 @@ int repack(const std::string& in_path, const std::string& out_path) {
               in_path.c_str(), out_path.c_str(),
               static_cast<unsigned long long>(result.frames_kept),
               static_cast<unsigned long long>(result.frames_dropped),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(result.bytes_in)).c_str(),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(result.bytes_out)).c_str());
   return verify_container(out_path);
 }
@@ -417,19 +417,19 @@ int window_demo(compress::DeflateLevel level, std::uint64_t lo,
   std::printf("record  : %zu streams, %llu epochs deep, %s framed\n",
               store->keys().size(),
               static_cast<unsigned long long>(epochs),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(total_stored)).c_str());
   std::printf("seek    : epochs [0, %llu) cover %s (%.1f%% of the record); "
               "%llu decode jobs on %zu workers -> %s raw\n",
               static_cast<unsigned long long>(hi),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(window_stored)).c_str(),
               total_stored > 0 ? 100.0 * static_cast<double>(window_stored) /
                                      static_cast<double>(total_stored)
                                : 0.0,
               static_cast<unsigned long long>(decode.stats().jobs),
               decode.stats().workers,
-              support::format_bytes(static_cast<double>(window_raw)).c_str());
+              obs::format_bytes(static_cast<double>(window_raw)).c_str());
 
   // Windowed replay under yet another schedule; the stream bytes must come
   // from the epoch-index seek, so the fallback counter must not move.
@@ -510,11 +510,11 @@ int corpus_stats(const std::string& path) {
               static_cast<unsigned long long>(stats.families),
               static_cast<unsigned long long>(stats.streams));
   std::printf("  %s raw -> %s stored in %s on disk (dedup %.2fx)\n",
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(stats.raw_bytes)).c_str(),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(stats.stored_bytes)).c_str(),
-              support::format_bytes(
+              obs::format_bytes(
                   static_cast<double>(reader->file_bytes())).c_str(),
               stats.dedup_ratio());
   std::printf("  streams by encoding:");
@@ -537,7 +537,7 @@ int corpus_stats(const std::string& path) {
   if (!sizes.empty()) {
     std::printf("  chunk table: %llu chunks, %s unique content\n",
                 static_cast<unsigned long long>(stats.chunk_count),
-                support::format_bytes(
+                obs::format_bytes(
                     static_cast<double>(stats.chunk_bytes)).c_str());
     // Log2 size histogram, the usual CDC sanity view: the mass should sit
     // between min_size and max_size with a mode near avg_size.
@@ -605,9 +605,9 @@ int demo(compress::DeflateLevel level) {
     std::printf("\ncompression service: %llu chunks on %zu workers, "
                 "%s raw -> %s stored\n",
                 static_cast<unsigned long long>(stats.jobs), stats.workers,
-                support::format_bytes(
+                obs::format_bytes(
                     static_cast<double>(stats.raw_bytes)).c_str(),
-                support::format_bytes(
+                obs::format_bytes(
                     static_cast<double>(stats.encoded_bytes)).c_str());
   }
   std::printf("\nrecord container left at %s; verifying it:\n", file.c_str());

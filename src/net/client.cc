@@ -355,7 +355,7 @@ bool Client::put(std::vector<WireFrame> frames) {
   batch.frames = std::move(frames);
   PendingBatch entry;
   entry.seq = batch.seq;
-  entry.bytes = encode_put_frames(batch, welcome_.level);
+  entry.bytes = encode_put_frames(batch);
   entry.sent_ns = steady_ns();
   pending_.push_back(std::move(entry));
   if (send_all(pending_.back().bytes)) return true;

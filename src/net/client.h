@@ -3,7 +3,7 @@
 //
 // A Client owns one TCP connection and one protocol session: connect()
 // dials, speaks HELLO, and returns an authenticated session whose
-// negotiated parameters (compression level, limits) are in welcome().
+// negotiated parameters (storage level, limits) are in welcome().
 // Ingest uses a bounded ack window — put() blocks once `max_inflight`
 // batches are unacknowledged, so a client can never outrun the server's
 // backpressure by more than the window — and records a submit→ack latency
@@ -52,6 +52,8 @@ class Client {
     std::string token;
     std::string record;
     Intent intent = Intent::kIngest;
+    /// Level at which the server's sink stores the frames. PUT_FRAMES
+    /// bodies themselves always ride stored.
     compress::DeflateLevel level = compress::DeflateLevel::kDefault;
     /// Unacked PUT_FRAMES batches allowed in flight before put() blocks.
     std::size_t max_inflight = 4;

@@ -58,14 +58,12 @@ const char* err_code_name(ErrCode code) noexcept {
 }
 
 std::vector<std::uint8_t> encode_message(MsgType type, std::uint64_t meta,
-                                         std::span<const std::uint8_t> body,
-                                         compress::DeflateLevel level) {
+                                         std::span<const std::uint8_t> body) {
   static obs::Counter& msgs = obs::counter("net.wire.msgs_encoded");
   tool::FrameJob job;
   job.codec = static_cast<std::uint8_t>(type);
   job.meta = meta;
-  job.compress = level != compress::DeflateLevel::kStored;
-  job.level = level;
+  job.compress = false;
   job.payload.assign(body.begin(), body.end());
   std::vector<std::uint8_t> framed = tool::encode_frame(job);
   const std::uint32_t crc = compress::crc32(framed);
@@ -84,10 +82,7 @@ std::vector<std::uint8_t> encode_hello(const Hello& hello) {
   // The flags byte exists only from version 2 on; a v1 body must stay
   // byte-identical to what v1 servers expect.
   if (hello.version >= 2) body.u8(hello.resumable ? 1u : 0u);
-  // HELLO itself always rides at the fast level: the session level it
-  // *requests* is not negotiated yet.
-  return encode_message(MsgType::kHello, hello.version, body.view(),
-                        compress::DeflateLevel::kFast);
+  return encode_message(MsgType::kHello, hello.version, body.view());
 }
 
 bool decode_hello(const Message& msg, Hello& out) {
@@ -118,8 +113,7 @@ std::vector<std::uint8_t> encode_welcome(const Welcome& w) {
   body.varint(w.limits.max_message_body);
   body.varint(w.limits.max_frame_bytes);
   body.varint(w.limits.max_batch_frames);
-  return encode_message(MsgType::kWelcome, w.version, body.view(),
-                        compress::DeflateLevel::kFast);
+  return encode_message(MsgType::kWelcome, w.version, body.view());
 }
 
 bool decode_welcome(const Message& msg, Welcome& out) {
@@ -134,8 +128,7 @@ bool decode_welcome(const Message& msg, Welcome& out) {
          in.try_varint(out.limits.max_batch_frames) && in.exhausted();
 }
 
-std::vector<std::uint8_t> encode_put_frames(const FrameBatch& batch,
-                                            compress::DeflateLevel level) {
+std::vector<std::uint8_t> encode_put_frames(const FrameBatch& batch) {
   support::ByteWriter body;
   body.varint(batch.frames.size());
   for (const WireFrame& f : batch.frames) {
@@ -143,17 +136,14 @@ std::vector<std::uint8_t> encode_put_frames(const FrameBatch& batch,
     body.varint(f.key.callsite);
     body.u8(f.codec);
     body.varint(f.meta);
-    const std::uint8_t flags =
-        (f.compress ? 1u : 0u) | (f.epoch.has_value() ? 2u : 0u) |
-        (f.pre_encoded ? 4u : 0u);
-    body.u8(flags);
+    body.u8((f.compress ? 1u : 0u) | (f.epoch.has_value() ? 2u : 0u));
     if (f.epoch.has_value()) {
       body.varint(f.epoch->matched);
       body.varint(f.epoch->unmatched);
     }
     body.sized_bytes(f.payload);
   }
-  return encode_message(MsgType::kPutFrames, batch.seq, body.view(), level);
+  return encode_message(MsgType::kPutFrames, batch.seq, body.view());
 }
 
 bool decode_put_frames(const Message& msg, const Limits& limits,
@@ -171,12 +161,12 @@ bool decode_put_frames(const Message& msg, const Limits& limits,
     std::uint64_t callsite = 0;
     std::uint8_t flags = 0;
     if (!in.try_svarint(rank) || !in.try_varint(callsite) ||
-        !in.try_u8(f.codec) || !in.try_varint(f.meta) || !in.try_u8(flags))
+        !in.try_u8(f.codec) || !in.try_varint(f.meta) || !in.try_u8(flags) ||
+        (flags & ~3u) != 0)
       return false;
     f.key.rank = static_cast<minimpi::Rank>(rank);
     f.key.callsite = static_cast<minimpi::CallsiteId>(callsite);
     f.compress = (flags & 1u) != 0;
-    f.pre_encoded = (flags & 4u) != 0;
     if ((flags & 2u) != 0) {
       runtime::EpochMeta epoch;
       if (!in.try_varint(epoch.matched) || !in.try_varint(epoch.unmatched))
@@ -197,8 +187,7 @@ std::vector<std::uint8_t> encode_put_ack(const PutAck& ack) {
   support::ByteWriter body;
   body.varint(ack.frames_ingested);
   body.varint(ack.bytes_ingested);
-  return encode_message(MsgType::kPutAck, ack.seq, body.view(),
-                        compress::DeflateLevel::kStored);
+  return encode_message(MsgType::kPutAck, ack.seq, body.view());
 }
 
 bool decode_put_ack(const Message& msg, PutAck& out) {
@@ -213,8 +202,7 @@ std::vector<std::uint8_t> encode_resumed(const Resumed& r) {
   support::ByteWriter body;
   body.varint(r.frames_ingested);
   body.varint(r.bytes_ingested);
-  return encode_message(MsgType::kResumed, r.last_seq, body.view(),
-                        compress::DeflateLevel::kStored);
+  return encode_message(MsgType::kResumed, r.last_seq, body.view());
 }
 
 bool decode_resumed(const Message& msg, Resumed& out) {
@@ -230,8 +218,7 @@ std::vector<std::uint8_t> encode_sealed(const Sealed& sealed) {
   body.varint(sealed.container_bytes);
   body.varint(sealed.streams);
   body.varint(sealed.frames);
-  return encode_message(MsgType::kSealed, 0, body.view(),
-                        compress::DeflateLevel::kStored);
+  return encode_message(MsgType::kSealed, 0, body.view());
 }
 
 bool decode_sealed(const Message& msg, Sealed& out) {
@@ -245,8 +232,7 @@ std::vector<std::uint8_t> encode_replay_window(const ReplayWindowReq& req) {
   support::ByteWriter body;
   body.varint(req.epoch_lo);
   body.varint(req.epoch_hi);
-  return encode_message(MsgType::kReplayWindow, 0, body.view(),
-                        compress::DeflateLevel::kStored);
+  return encode_message(MsgType::kReplayWindow, 0, body.view());
 }
 
 bool decode_replay_window(const Message& msg, ReplayWindowReq& out) {
@@ -256,17 +242,14 @@ bool decode_replay_window(const Message& msg, ReplayWindowReq& out) {
          in.exhausted();
 }
 
-std::vector<std::uint8_t> encode_window_stream(const WindowStream& ws,
-                                               compress::DeflateLevel level) {
+std::vector<std::uint8_t> encode_window_stream(const WindowStream& ws) {
   support::ByteWriter body;
   body.svarint(ws.key.rank);
   body.varint(ws.key.callsite);
   body.varint(ws.first_epoch);
   body.u8(ws.seeked ? 1 : 0);
   body.sized_bytes(ws.bytes);
-  // Window bytes are already DEFLATE frames; recompressing them buys
-  // nothing, so WINDOW_STREAM always rides stored unless asked otherwise.
-  return encode_message(MsgType::kWindowStream, 0, body.view(), level);
+  return encode_message(MsgType::kWindowStream, 0, body.view());
 }
 
 bool decode_window_stream(const Message& msg, WindowStream& out) {
@@ -291,8 +274,7 @@ std::vector<std::uint8_t> encode_window_done(const WindowDone& done) {
   support::ByteWriter body;
   body.varint(done.streams);
   body.u8(done.all_seeked ? 1 : 0);
-  return encode_message(MsgType::kWindowDone, 0, body.view(),
-                        compress::DeflateLevel::kStored);
+  return encode_message(MsgType::kWindowDone, 0, body.view());
 }
 
 bool decode_window_done(const Message& msg, WindowDone& out) {
@@ -307,8 +289,7 @@ bool decode_window_done(const Message& msg, WindowDone& out) {
 
 std::vector<std::uint8_t> encode_inspect(InspectKind kind) {
   const std::uint8_t body[1] = {static_cast<std::uint8_t>(kind)};
-  return encode_message(MsgType::kInspect, 0, body,
-                        compress::DeflateLevel::kStored);
+  return encode_message(MsgType::kInspect, 0, body);
 }
 
 bool decode_inspect(const Message& msg, InspectKind& out) {
@@ -322,15 +303,13 @@ bool decode_inspect(const Message& msg, InspectKind& out) {
 std::vector<std::uint8_t> encode_report(const std::string& json) {
   return encode_message(
       MsgType::kReport, 0,
-      {reinterpret_cast<const std::uint8_t*>(json.data()), json.size()},
-      compress::DeflateLevel::kFast);
+      {reinterpret_cast<const std::uint8_t*>(json.data()), json.size()});
 }
 
 std::vector<std::uint8_t> encode_error(ErrCode code, const std::string& text) {
   return encode_message(
       MsgType::kError, static_cast<std::uint64_t>(code),
-      {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()},
-      compress::DeflateLevel::kStored);
+      {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
 }
 
 bool decode_error(const Message& msg, ErrCode& code, std::string& text) {
@@ -345,7 +324,7 @@ bool decode_error(const Message& msg, ErrCode& code, std::string& text) {
 }
 
 std::vector<std::uint8_t> encode_simple(MsgType type) {
-  return encode_message(type, 0, {}, compress::DeflateLevel::kStored);
+  return encode_message(type, 0, {});
 }
 
 // --- WireParser ----------------------------------------------------------

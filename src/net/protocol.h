@@ -10,9 +10,12 @@
 // varint as a per-type scalar (protocol version in HELLO, batch sequence
 // number in PUT_FRAMES, error code in ERROR), and a CRC-32 of every
 // preceding message byte appended — the container-frame trick applied to
-// the socket. Message bodies ride DEFLATE-compressed at the session's
-// negotiated level unless that would grow them (stored_raw), so the wire
-// format inherits the codec stack for free.
+// the socket. Every encoder here emits stored bodies (stored_raw = 1): the
+// server's sink compresses each frame once, as it stores it, so a wire
+// DEFLATE pass would only be undone on arrival. Decoding goes through
+// tool::read_frame, so DEFLATE bodies from earlier peers still parse. The
+// HELLO/WELCOME level byte names the level at which the server's sink
+// stores the session's frames.
 //
 // The protocol is versioned (HELLO carries the client's version, WELCOME
 // the server's; the server rejects versions outside its supported range
@@ -125,6 +128,7 @@ struct Hello {
   std::string token;
   std::string record;
   Intent intent = Intent::kIngest;
+  /// Level at which the server's sink stores this session's frames.
   compress::DeflateLevel level = compress::DeflateLevel::kDefault;
   /// v2 flags bit 0: journal this ingest session so it survives a crash
   /// or disconnect and can be reopened by a later resumable HELLO. Never
@@ -134,20 +138,19 @@ struct Hello {
 
 struct Welcome {
   std::uint8_t version = kProtocolVersion;  ///< rides in the meta varint
+  /// Storage level in force: the HELLO's, or the journaled one on resume.
   compress::DeflateLevel level = compress::DeflateLevel::kDefault;
   std::uint64_t session_id = 0;
   Limits limits;
 };
 
 /// One record frame inside a PUT_FRAMES batch: the network twin of
-/// tool::FrameJob, plus a pre-encoded escape hatch for re-uploading frames
-/// that are already tool-frame bytes (duplicate-upload and mirror flows).
+/// tool::FrameJob. The payload is raw; the server's sink encodes it.
 struct WireFrame {
   runtime::StreamKey key;
   std::uint8_t codec = 0;
   std::uint64_t meta = 0;
   bool compress = true;
-  bool pre_encoded = false;  ///< payload is finished tool-frame bytes
   std::optional<runtime::EpochMeta> epoch;
   std::vector<std::uint8_t> payload;
 };
@@ -205,23 +208,21 @@ enum class InspectKind : std::uint8_t {
 // --- encode --------------------------------------------------------------
 
 /// Encodes a complete wire message: tool frame (type in the codec byte,
-/// `meta` in the meta varint, `body` DEFLATE-compressed at `level`) plus
-/// the trailing CRC-32. Deterministic for a given (message, level).
+/// `meta` in the meta varint, `body` stored) plus the trailing CRC-32.
 [[nodiscard]] std::vector<std::uint8_t> encode_message(
-    MsgType type, std::uint64_t meta, std::span<const std::uint8_t> body,
-    compress::DeflateLevel level = compress::DeflateLevel::kDefault);
+    MsgType type, std::uint64_t meta, std::span<const std::uint8_t> body);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_hello(const Hello& hello);
 [[nodiscard]] std::vector<std::uint8_t> encode_welcome(const Welcome& w);
 [[nodiscard]] std::vector<std::uint8_t> encode_put_frames(
-    const FrameBatch& batch, compress::DeflateLevel level);
+    const FrameBatch& batch);
 [[nodiscard]] std::vector<std::uint8_t> encode_put_ack(const PutAck& ack);
 [[nodiscard]] std::vector<std::uint8_t> encode_resumed(const Resumed& r);
 [[nodiscard]] std::vector<std::uint8_t> encode_sealed(const Sealed& sealed);
 [[nodiscard]] std::vector<std::uint8_t> encode_replay_window(
     const ReplayWindowReq& req);
 [[nodiscard]] std::vector<std::uint8_t> encode_window_stream(
-    const WindowStream& ws, compress::DeflateLevel level);
+    const WindowStream& ws);
 [[nodiscard]] std::vector<std::uint8_t> encode_window_done(
     const WindowDone& done);
 [[nodiscard]] std::vector<std::uint8_t> encode_inspect(InspectKind kind);
@@ -234,6 +235,7 @@ enum class InspectKind : std::uint8_t {
 
 [[nodiscard]] bool decode_hello(const Message& msg, Hello& out);
 [[nodiscard]] bool decode_welcome(const Message& msg, Welcome& out);
+/// Rejects any frame flag bit other than 0 (compress) and 1 (epoch).
 [[nodiscard]] bool decode_put_frames(const Message& msg, const Limits& limits,
                                      FrameBatch& out);
 [[nodiscard]] bool decode_put_ack(const Message& msg, PutAck& out);

@@ -556,7 +556,7 @@ struct Server::Impl {
     // Speak the client's dialect: a v1 client gets a v1 WELCOME and never
     // sees the resume machinery.
     welcome.version = std::min(hello.version, kProtocolVersion);
-    welcome.level = std::min(hello.level, config.max_level);
+    welcome.level = hello.level;
     welcome.session_id = ++next_session_id;
     welcome.limits = config.limits;
     const bool wants_resume = hello.version >= 2 && hello.resumable;
@@ -766,10 +766,6 @@ struct Server::Impl {
             std::make_unique<tool::AsyncFrameSink>(session.service.get());
         break;
       }
-      case SinkMode::kRetrying:
-        session.sink = std::make_unique<tool::RetryingFrameSink>(
-            session.target, store::RetryPolicy{}, session.path + ".cdcq");
-        break;
     }
     session.tenant_frames =
         &obs::counter("net.tenant." + tenant.config.name + ".frames");
@@ -883,8 +879,7 @@ struct Server::Impl {
         all_seeked = all_seeked && ws.seeked;
         ++streams;
         obs::counter("net.replay.window_bytes").add(ws.bytes.size());
-        send_msg(conn, encode_window_stream(
-                           ws, compress::DeflateLevel::kStored));
+        send_msg(conn, encode_window_stream(ws));
       }
       WindowDone done;
       done.streams = streams;
@@ -1039,34 +1034,15 @@ struct Server::Impl {
           }
         }
         for (WireFrame& frame : item.batch.frames) {
-          if (frame.pre_encoded) {
-            // Re-upload path: the payload must already be one valid tool
-            // frame; append it verbatim (no re-encode).
-            support::ByteReader reader(frame.payload);
-            const std::optional<tool::Frame> parsed =
-                tool::read_frame(reader);
-            if (!parsed.has_value() || !reader.exhausted()) {
-              fail_session(session, ErrCode::kBadMessage,
-                           "invalid pre-encoded frame");
-              break;
-            }
-            if (frame.epoch.has_value())
-              session.target->append_epoch(frame.key, frame.payload,
-                                           *frame.epoch);
-            else
-              session.target->append(frame.key, frame.payload);
-          } else {
-            tool::FrameJob job;
-            job.codec = frame.codec;
-            job.meta = frame.meta;
-            job.compress = frame.compress;
-            job.level = session.level;
-            job.epoch = frame.epoch;
-            job.payload = std::move(frame.payload);
-            session.sink->submit(frame.key, std::move(job));
-          }
+          tool::FrameJob job;
+          job.codec = frame.codec;
+          job.meta = frame.meta;
+          job.compress = frame.compress;
+          job.level = session.level;
+          job.epoch = frame.epoch;
+          job.payload = std::move(frame.payload);
+          session.sink->submit(frame.key, std::move(job));
         }
-        if (session.failed.load(std::memory_order_relaxed)) continue;
         // Durability before acknowledgement (DESIGN.md §14): drain the
         // parallel service so every frame of this batch is in the
         // container, flush the container, fsync the journal entry, and

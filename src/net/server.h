@@ -6,8 +6,10 @@
 // (HELLO → ingest | replay). Ingest work never runs on the event thread:
 // each ingest session owns a bounded MPMC queue and one worker thread that
 // drains batches into the existing storage stack — QuotaStore →
-// ContainerStore, fronted by the configured FrameSink (inline encode,
-// parallel CompressionService, or RetryingFrameSink with quarantine).
+// ContainerStore, fronted by the configured FrameSink (inline encode or
+// parallel CompressionService). The sink is the one place a frame is
+// compressed; clients send PUT_FRAMES bodies stored. A store error (quota
+// backstop, I/O) fails the batch before its ack, in either sink mode.
 //
 // Backpressure is structural, not advisory: when a session's queue is
 // full, the event thread parks the parsed batch, *stops polling the
@@ -47,7 +49,6 @@
 #include <thread>
 #include <vector>
 
-#include "compress/deflate.h"
 #include "net/protocol.h"
 #include "runtime/storage.h"
 
@@ -62,9 +63,8 @@ struct TenantConfig {
 
 /// Which sink stack ingest sessions route through (DESIGN.md §13).
 enum class SinkMode : std::uint8_t {
-  kInline = 0,    ///< encode on the session worker, append directly
-  kService = 1,   ///< parallel CompressionService per session
-  kRetrying = 2,  ///< RetryingFrameSink (bounded backoff + quarantine)
+  kInline = 0,   ///< encode on the session worker, append directly
+  kService = 1,  ///< parallel CompressionService per session
 };
 
 struct ServerConfig {
@@ -77,9 +77,6 @@ struct ServerConfig {
   /// Ingest-queue bound, in batches, per session — the backpressure knob.
   std::size_t ingest_queue_batches = 8;
   Limits limits;
-  /// Highest DEFLATE level a client may negotiate (requests above it are
-  /// clamped, mirroring content-encoding negotiation).
-  compress::DeflateLevel max_level = compress::DeflateLevel::kBest;
   /// Test/bench-only throttle: sleep this long per ingested batch on the
   /// session worker, to force queue buildup and exercise backpressure.
   std::uint32_t ingest_delay_us = 0;

@@ -59,6 +59,7 @@ void CompressionService::submit_job(const runtime::StreamKey& key,
       obs::counter("store.service.submit_stalls");
   static obs::Histogram& obs_depth =
       obs::histogram("store.service.queue_depth");
+  if (failed_.load()) std::rethrow_exception(error_);
   const std::lock_guard<std::mutex> lock(submit_mutex_);
   if (obs::enabled()) {
     // A full queue means this push is about to block on back-pressure.
@@ -96,16 +97,23 @@ void CompressionService::worker_loop() {
       obs_pool_misses.add(1);
     }
     const obs::Stopwatch sw;
-    std::vector<std::uint8_t> encoded = job.encode(std::move(buf));
+    std::vector<std::uint8_t> encoded;
+    std::exception_ptr encode_error;
+    try {
+      encoded = job.encode(std::move(buf));
+    } catch (...) {
+      encode_error = std::current_exception();
+    }
     obs_encode_ns.record(sw.ns());
-    commit_in_order(job, encoded);
+    commit_in_order(job, encoded, encode_error);
     // The store copied the bytes; the capacity goes back to the pool.
     pool_.release(std::move(encoded));
   }
 }
 
 void CompressionService::commit_in_order(
-    const Job& job, const std::vector<std::uint8_t>& encoded) {
+    const Job& job, const std::vector<std::uint8_t>& encoded,
+    std::exception_ptr encode_error) {
   static obs::Histogram& obs_wait_ns =
       obs::histogram("store.service.commit_wait_ns");
   static obs::Counter& obs_encoded =
@@ -114,12 +122,22 @@ void CompressionService::commit_in_order(
   std::unique_lock<std::mutex> lock(commit_mutex_);
   commit_cv_.wait(lock, [&] { return next_commit_ == job.ticket; });
   obs_wait_ns.record(sw.ns());
-  if (job.epoch.has_value())
-    store_->append_epoch(job.key, encoded, *job.epoch);
-  else
-    store_->append(job.key, encoded);
-  encoded_bytes_ += encoded.size();
-  obs_encoded.add(encoded.size());
+  // After the first error the ticket still advances, so drain() and the
+  // destructor never wait on a job that will not be appended.
+  if (error_ == nullptr) {
+    try {
+      if (encode_error != nullptr) std::rethrow_exception(encode_error);
+      if (job.epoch.has_value())
+        store_->append_epoch(job.key, encoded, *job.epoch);
+      else
+        store_->append(job.key, encoded);
+      encoded_bytes_ += encoded.size();
+      obs_encoded.add(encoded.size());
+    } catch (...) {
+      error_ = std::current_exception();
+      failed_.store(true);
+    }
+  }
   ++next_commit_;
   commit_cv_.notify_all();
 }
@@ -132,6 +150,7 @@ void CompressionService::drain() {
   }
   std::unique_lock<std::mutex> lock(commit_mutex_);
   commit_cv_.wait(lock, [&] { return next_commit_ >= submitted; });
+  if (error_ != nullptr) std::rethrow_exception(error_);
 }
 
 CompressionService::Stats CompressionService::stats() const {

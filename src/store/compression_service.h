@@ -15,7 +15,9 @@
 // can hand it decode work unchanged.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <thread>
@@ -63,7 +65,8 @@ class CompressionService {
   /// jobs are already outstanding. `raw_size_hint` is the uncompressed
   /// payload size, used only for throughput accounting. `epoch` is the
   /// chunk's epoch metadata, committed via RecordStore::append_epoch when
-  /// present so epoch-aware stores index the frame.
+  /// present so epoch-aware stores index the frame. Rethrows the first
+  /// worker error once the service has failed.
   void submit(const runtime::StreamKey& key, std::size_t raw_size_hint,
               Encoder encode,
               std::optional<runtime::EpochMeta> epoch = std::nullopt);
@@ -80,6 +83,8 @@ class CompressionService {
 
   /// Blocks until every job submitted so far has been committed to the
   /// store. Safe to call repeatedly and to keep submitting afterwards.
+  /// Rethrows the first exception an encoder or the store threw; jobs
+  /// after it were dropped, not appended.
   void drain();
 
   struct Stats {
@@ -106,7 +111,8 @@ class CompressionService {
 
   void worker_loop();
   void commit_in_order(const Job& job,
-                       const std::vector<std::uint8_t>& encoded);
+                       const std::vector<std::uint8_t>& encoded,
+                       std::exception_ptr encode_error);
 
   runtime::RecordStore* store_;
   BoundedMpmcQueue<Job> queue_;
@@ -126,6 +132,11 @@ class CompressionService {
   std::condition_variable commit_cv_;
   std::uint64_t next_commit_ = 0;  ///< ticket allowed to commit next
   std::uint64_t encoded_bytes_ = 0;
+  /// First worker error. Written once under commit_mutex_ before failed_
+  /// is set and never changed after, so submit() may read it without the
+  /// lock once it has seen failed_.
+  std::exception_ptr error_;
+  std::atomic<bool> failed_{false};
 
   std::vector<std::jthread> workers_;
 };

@@ -3,10 +3,13 @@
 // a bit flip at every byte, oversized length announcements, garbage magic.
 // The parser must yield clean kNeedMore/kMalformed verdicts and never a
 // wrong message; under ASan this suite is also the memory-safety proof.
+// The hostile-input sweeps also run over a DEFLATE-bodied PUT_FRAMES, the
+// shape earlier clients sent, so the parser's inflate path stays covered.
 #include "net/protocol.h"
 
 #include <gtest/gtest.h>
 
+#include "deflate_wire.h"
 #include "support/binary.h"
 
 namespace cdc::net {
@@ -42,6 +45,15 @@ FrameBatch sample_batch() {
     batch.frames.push_back(std::move(frame));
   }
   return batch;
+}
+
+/// The stored PUT_FRAMES every encoder now emits, and the DEFLATE-bodied
+/// one a client sent before the change.
+std::vector<std::vector<std::uint8_t>> put_frames_inputs() {
+  const std::vector<std::uint8_t> stored = encode_put_frames(sample_batch());
+  std::vector<std::uint8_t> deflated = deflate_bodied(stored);
+  EXPECT_EQ(deflated.at(2), 0) << "helper must produce a DEFLATE body";
+  return {stored, std::move(deflated)};
 }
 
 /// Feeds `bytes` whole and expects exactly one clean message.
@@ -82,29 +94,85 @@ TEST(Protocol, WelcomeRoundTrip) {
   EXPECT_EQ(out.limits.max_batch_frames, 32u);
 }
 
-TEST(Protocol, PutFramesRoundTripAllLevels) {
+TEST(Protocol, PutFramesRoundTrip) {
   const FrameBatch batch = sample_batch();
-  for (const auto level :
-       {compress::DeflateLevel::kStored, compress::DeflateLevel::kFast,
-        compress::DeflateLevel::kDefault, compress::DeflateLevel::kBest}) {
-    FrameBatch out;
-    ASSERT_TRUE(decode_put_frames(parse_one(encode_put_frames(batch, level)),
-                                  Limits{}, out));
-    ASSERT_EQ(out.seq, batch.seq);
-    ASSERT_EQ(out.frames.size(), batch.frames.size());
-    for (std::size_t i = 0; i < out.frames.size(); ++i) {
-      EXPECT_EQ(out.frames[i].key, batch.frames[i].key);
-      EXPECT_EQ(out.frames[i].codec, batch.frames[i].codec);
-      EXPECT_EQ(out.frames[i].meta, batch.frames[i].meta);
-      EXPECT_EQ(out.frames[i].compress, batch.frames[i].compress);
-      EXPECT_EQ(out.frames[i].payload, batch.frames[i].payload);
-      EXPECT_EQ(out.frames[i].epoch.has_value(),
-                batch.frames[i].epoch.has_value());
-      if (out.frames[i].epoch.has_value()) {
-        EXPECT_EQ(*out.frames[i].epoch, *batch.frames[i].epoch);
-      }
+  FrameBatch out;
+  ASSERT_TRUE(
+      decode_put_frames(parse_one(encode_put_frames(batch)), Limits{}, out));
+  ASSERT_EQ(out.seq, batch.seq);
+  ASSERT_EQ(out.frames.size(), batch.frames.size());
+  for (std::size_t i = 0; i < out.frames.size(); ++i) {
+    EXPECT_EQ(out.frames[i].key, batch.frames[i].key);
+    EXPECT_EQ(out.frames[i].codec, batch.frames[i].codec);
+    EXPECT_EQ(out.frames[i].meta, batch.frames[i].meta);
+    EXPECT_EQ(out.frames[i].compress, batch.frames[i].compress);
+    EXPECT_EQ(out.frames[i].payload, batch.frames[i].payload);
+    EXPECT_EQ(out.frames[i].epoch.has_value(),
+              batch.frames[i].epoch.has_value());
+    if (out.frames[i].epoch.has_value()) {
+      EXPECT_EQ(*out.frames[i].epoch, *batch.frames[i].epoch);
     }
   }
+}
+
+TEST(Protocol, EveryEncoderEmitsStoredBodies) {
+  WindowStream ws;
+  ws.bytes.assign(1024, 0x5A);  // highly compressible, still stored
+  const std::vector<std::vector<std::uint8_t>> wires = {
+      encode_hello(sample_hello()),
+      encode_welcome(Welcome{}),
+      encode_put_frames(sample_batch()),
+      encode_put_ack(PutAck{1, 2, 3}),
+      encode_resumed(Resumed{1, 2, 3}),
+      encode_sealed(Sealed{1, 2, 3}),
+      encode_replay_window(ReplayWindowReq{1, 2}),
+      encode_window_stream(ws),
+      encode_window_done(WindowDone{1, true}),
+      encode_inspect(InspectKind::kPipeline),
+      encode_report(std::string(512, '{')),
+      encode_error(ErrCode::kQuota, std::string(256, 'q')),
+      encode_simple(MsgType::kSeal),
+  };
+  for (std::size_t i = 0; i < wires.size(); ++i) {
+    support::ByteReader header(wires[i]);
+    std::uint8_t magic = 0, type = 0, stored_raw = 0;
+    std::uint64_t meta = 0, raw_len = 0, body_len = 0;
+    ASSERT_TRUE(header.try_u8(magic) && header.try_u8(type) &&
+                header.try_u8(stored_raw) && header.try_varint(meta) &&
+                header.try_varint(raw_len) && header.try_varint(body_len))
+        << "message " << i;
+    EXPECT_EQ(stored_raw, 1) << "message " << i;
+    EXPECT_EQ(raw_len, body_len) << "message " << i;
+    EXPECT_EQ(wires[i].size(), header.position() + body_len + 4)
+        << "message " << i;
+  }
+}
+
+TEST(Protocol, PutFramesRejectsUnknownFlagBits) {
+  // One frame: rank 0, callsite 0, codec 1, meta 0, flags, empty payload.
+  const auto batch_with_flags = [](std::uint8_t flags) {
+    support::ByteWriter body;
+    body.varint(1);
+    body.svarint(0);
+    body.varint(0);
+    body.u8(1);
+    body.varint(0);
+    body.u8(flags);
+    if ((flags & 2u) != 0) {
+      body.varint(3);
+      body.varint(1);
+    }
+    body.varint(0);
+    return parse_one(encode_message(MsgType::kPutFrames, 1, body.view()));
+  };
+  FrameBatch out;
+  for (std::uint8_t flags = 0; flags < 4; ++flags)
+    EXPECT_TRUE(decode_put_frames(batch_with_flags(flags), Limits{}, out))
+        << "flags " << int{flags};
+  // Any bit above bit 1, bit 4 included, is malformed.
+  for (const std::uint8_t flags : {0x04, 0x05, 0x08, 0x80})
+    EXPECT_FALSE(decode_put_frames(batch_with_flags(flags), Limits{}, out))
+        << "flags " << int{flags};
 }
 
 TEST(Protocol, SmallMessagesRoundTrip) {
@@ -153,9 +221,7 @@ TEST(Protocol, WindowStreamRoundTrip) {
   ws.seeked = true;
   ws.bytes.assign(1024, 0x5A);
   WindowStream out;
-  ASSERT_TRUE(decode_window_stream(
-      parse_one(encode_window_stream(ws, compress::DeflateLevel::kDefault)),
-      out));
+  ASSERT_TRUE(decode_window_stream(parse_one(encode_window_stream(ws)), out));
   EXPECT_EQ(out.key, ws.key);
   EXPECT_EQ(out.first_epoch, 5u);
   EXPECT_TRUE(out.seeked);
@@ -179,18 +245,18 @@ TEST(Protocol, TruncationAtEveryByteBoundaryIsNeedMore) {
   // A mid-message disconnect can cut the stream at any byte. Every proper
   // prefix must parse as "still in flight", never as malformed and never
   // as a (wrong) message.
-  const std::vector<std::uint8_t> wire =
-      encode_put_frames(sample_batch(), compress::DeflateLevel::kFast);
-  for (std::size_t cut = 0; cut < wire.size(); ++cut) {
-    WireParser parser;
-    parser.feed({wire.data(), cut});
-    Message msg;
-    ASSERT_EQ(parser.next(&msg), WireParser::Status::kNeedMore)
-        << "prefix of " << cut << " bytes";
-    // Feeding the remainder completes the message.
-    parser.feed({wire.data() + cut, wire.size() - cut});
-    ASSERT_EQ(parser.next(&msg), WireParser::Status::kMessage);
-    EXPECT_EQ(msg.type, MsgType::kPutFrames);
+  for (const std::vector<std::uint8_t>& wire : put_frames_inputs()) {
+    for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+      WireParser parser;
+      parser.feed({wire.data(), cut});
+      Message msg;
+      ASSERT_EQ(parser.next(&msg), WireParser::Status::kNeedMore)
+          << "prefix of " << cut << " bytes, stored_raw " << int{wire[2]};
+      // Feeding the remainder completes the message.
+      parser.feed({wire.data() + cut, wire.size() - cut});
+      ASSERT_EQ(parser.next(&msg), WireParser::Status::kMessage);
+      EXPECT_EQ(msg.type, MsgType::kPutFrames);
+    }
   }
 }
 
@@ -199,16 +265,20 @@ TEST(Protocol, BitFlipAtEveryByteNeverYieldsAMessage) {
   // parse outright), so any single-bit corruption must be refused — the
   // parser may want more bytes (a length field grew) but must never hand
   // back a message.
-  const std::vector<std::uint8_t> wire = encode_hello(sample_hello());
-  for (std::size_t at = 0; at < wire.size(); ++at) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::vector<std::uint8_t> bent = wire;
-      bent[at] ^= static_cast<std::uint8_t>(1u << bit);
-      WireParser parser;
-      parser.feed(bent);
-      Message msg;
-      ASSERT_NE(parser.next(&msg), WireParser::Status::kMessage)
-          << "byte " << at << " bit " << bit;
+  std::vector<std::vector<std::uint8_t>> wires = put_frames_inputs();
+  wires.insert(wires.begin(), encode_hello(sample_hello()));
+  for (std::size_t w = 0; w < wires.size(); ++w) {
+    const std::vector<std::uint8_t>& wire = wires[w];
+    for (std::size_t at = 0; at < wire.size(); ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::vector<std::uint8_t> bent = wire;
+        bent[at] ^= static_cast<std::uint8_t>(1u << bit);
+        WireParser parser;
+        parser.feed(bent);
+        Message msg;
+        ASSERT_NE(parser.next(&msg), WireParser::Status::kMessage)
+            << "input " << w << " byte " << at << " bit " << bit;
+      }
     }
   }
 }
@@ -246,29 +316,31 @@ TEST(Protocol, GarbageMagicIsMalformed) {
 }
 
 TEST(Protocol, ByteAtATimeFeedRecoversMessageSequence) {
-  std::vector<std::uint8_t> wire;
-  const auto append = [&wire](const std::vector<std::uint8_t>& msg) {
-    wire.insert(wire.end(), msg.begin(), msg.end());
-  };
-  append(encode_hello(sample_hello()));
-  append(encode_put_frames(sample_batch(), compress::DeflateLevel::kDefault));
-  append(encode_simple(MsgType::kSeal));
-  append(encode_simple(MsgType::kBye));
+  for (const std::vector<std::uint8_t>& put : put_frames_inputs()) {
+    std::vector<std::uint8_t> wire;
+    const auto append = [&wire](const std::vector<std::uint8_t>& msg) {
+      wire.insert(wire.end(), msg.begin(), msg.end());
+    };
+    append(encode_hello(sample_hello()));
+    append(put);
+    append(encode_simple(MsgType::kSeal));
+    append(encode_simple(MsgType::kBye));
 
-  WireParser parser;
-  std::vector<MsgType> seen;
-  for (const std::uint8_t byte : wire) {
-    parser.feed({&byte, 1});
-    Message msg;
-    while (parser.next(&msg) == WireParser::Status::kMessage)
-      seen.push_back(msg.type);
+    WireParser parser;
+    std::vector<MsgType> seen;
+    for (const std::uint8_t byte : wire) {
+      parser.feed({&byte, 1});
+      Message msg;
+      while (parser.next(&msg) == WireParser::Status::kMessage)
+        seen.push_back(msg.type);
+    }
+    ASSERT_EQ(seen.size(), 4u) << "stored_raw " << int{put[2]};
+    EXPECT_EQ(seen[0], MsgType::kHello);
+    EXPECT_EQ(seen[1], MsgType::kPutFrames);
+    EXPECT_EQ(seen[2], MsgType::kSeal);
+    EXPECT_EQ(seen[3], MsgType::kBye);
+    EXPECT_EQ(parser.buffered(), 0u);
   }
-  ASSERT_EQ(seen.size(), 4u);
-  EXPECT_EQ(seen[0], MsgType::kHello);
-  EXPECT_EQ(seen[1], MsgType::kPutFrames);
-  EXPECT_EQ(seen[2], MsgType::kSeal);
-  EXPECT_EQ(seen[3], MsgType::kBye);
-  EXPECT_EQ(parser.buffered(), 0u);
 }
 
 TEST(Protocol, DecodeEnforcesBatchLimits) {
@@ -277,17 +349,17 @@ TEST(Protocol, DecodeEnforcesBatchLimits) {
   FrameBatch batch = sample_batch();  // 3 frames
   FrameBatch out;
   EXPECT_FALSE(decode_put_frames(
-      parse_one(encode_put_frames(batch, compress::DeflateLevel::kStored)),
+      parse_one(encode_put_frames(batch)),
       tight, out));
 
   Limits tiny;
   tiny.max_frame_bytes = 16;  // every sample frame is larger
   EXPECT_FALSE(decode_put_frames(
-      parse_one(encode_put_frames(batch, compress::DeflateLevel::kStored)),
+      parse_one(encode_put_frames(batch)),
       tiny, out));
 
   EXPECT_TRUE(decode_put_frames(
-      parse_one(encode_put_frames(batch, compress::DeflateLevel::kStored)),
+      parse_one(encode_put_frames(batch)),
       Limits{}, out));
 }
 

@@ -1,8 +1,10 @@
 // Loopback tests for the record/replay server: the full per-connection
 // state machine (auth, quotas, ingest, seal, replay, inspect) plus the
 // failure paths — bad tokens, bad versions, hostile record names, garbage
-// bytes, oversized frames, mid-stream disconnects — and the backpressure
-// seam (slow-reader suspension under a throttled session worker).
+// bytes, oversized frames, mid-stream disconnects, store errors inside
+// the compression service — the backpressure seam (slow-reader suspension
+// under a throttled session worker), and DEFLATE-bodied PUT_FRAMES from
+// clients that predate stored wire bodies.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <fstream>
 #include <thread>
 
+#include "deflate_wire.h"
 #include "net/client.h"
 #include "net/load_gen.h"
 #include "store/container_reader.h"
@@ -137,8 +140,7 @@ TEST_F(ServerLoopbackTest, IngestSealByteIdenticalAcrossSinkModes) {
   SynthShape shape;
   shape.batches = 4;
   shape.frames_per_batch = 8;
-  for (const SinkMode mode :
-       {SinkMode::kInline, SinkMode::kService, SinkMode::kRetrying}) {
+  for (const SinkMode mode : {SinkMode::kInline, SinkMode::kService}) {
     server_.reset();
     ServerConfig config;
     config.sink_mode = mode;
@@ -162,6 +164,84 @@ TEST_F(ServerLoopbackTest, IngestSealByteIdenticalAcrossSinkModes) {
     EXPECT_TRUE(reader->index_ok());
     EXPECT_TRUE(reader->verify().ok);
   }
+}
+
+TEST_F(ServerLoopbackTest, DeflateBodiedPutFramesSealsByteIdentical) {
+  // A client from before stored wire bodies DEFLATEs its PUT_FRAMES body.
+  // The server must still accept it and seal the same bytes as a stored
+  // upload of the same batch.
+  start_server();
+  SynthShape shape;
+  shape.batches = 2;
+  shape.frames_per_batch = 8;
+  const auto jobs = synth_jobs(29, shape, compress::DeflateLevel::kFast);
+  upload_record("stored", 29, shape);
+
+  auto client = dial("deflated");
+  ASSERT_NE(client, nullptr);
+  FrameBatch batch;
+  batch.seq = 1;
+  batch.frames = wire_frames(jobs);
+  const std::vector<std::uint8_t> wire =
+      deflate_bodied(encode_put_frames(batch));
+  ASSERT_EQ(wire.at(2), 0) << "the upload must carry a DEFLATE body";
+  ASSERT_TRUE(client->send_raw(wire));
+  Sealed sealed;
+  ASSERT_TRUE(client->seal(&sealed)) << client->last_error();
+  EXPECT_EQ(sealed.frames, jobs.size());
+  client->bye();
+
+  const auto deflated = file_bytes(record_path("deflated"));
+  ASSERT_FALSE(deflated.empty());
+  EXPECT_EQ(deflated, file_bytes(record_path("stored")));
+}
+
+TEST_F(ServerLoopbackTest, ServiceStoreErrorFailsBatchAndServerKeepsServing) {
+  // A store error on a CompressionService worker must fail the batch with
+  // ERROR kQuota, not abort the daemon. 2,000 one-byte frames fit the
+  // tenant's 4 KiB raw budget, but their framed bytes pass the container
+  // backstop (budget + budget/4 + 4096), so the QuotaStore throws there.
+  ServerConfig config;
+  config.sink_mode = SinkMode::kService;
+  TenantConfig tight;
+  tight.name = "tight";
+  tight.token = "tight-token";
+  tight.max_bytes = 4 << 10;
+  config.tenants.push_back(tight);
+  TenantConfig roomy;
+  roomy.name = kTenant;
+  roomy.token = kToken;
+  config.tenants.push_back(roomy);
+  start_server(std::move(config));
+
+  auto client = dial("tiny", Intent::kIngest, nullptr, "tight-token");
+  ASSERT_NE(client, nullptr);
+  std::vector<WireFrame> frames;
+  for (int i = 0; i < 2000; ++i) {
+    WireFrame frame;
+    frame.key = runtime::StreamKey{0, 1};
+    frame.codec = 0x01;
+    frame.meta = static_cast<std::uint64_t>(i);
+    frame.payload = {static_cast<std::uint8_t>(i)};
+    frames.push_back(std::move(frame));
+  }
+  bool failed = !client->put(std::move(frames));
+  if (!failed) failed = !client->seal();
+  ASSERT_TRUE(failed);
+  EXPECT_EQ(client->last_code(), ErrCode::kQuota) << client->last_error();
+  client.reset();
+  EXPECT_TRUE(wait_for(
+      [](const Server::Stats& s) { return s.sessions_aborted >= 1; }));
+
+  // The daemon still serves: another tenant's upload seals intact.
+  SynthShape shape;
+  shape.batches = 2;
+  upload_record("after", 31, shape);
+  const auto jobs = synth_jobs(31, shape, compress::DeflateLevel::kFast);
+  const std::string local = (dir_ / "local-after.cdcc").string();
+  std::string error;
+  ASSERT_TRUE(write_synth_container(local, jobs, &error)) << error;
+  EXPECT_EQ(file_bytes(record_path("after")), file_bytes(local));
 }
 
 TEST_F(ServerLoopbackTest, BadTokenRejected) {

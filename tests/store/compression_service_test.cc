@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "runtime/storage.h"
+#include "store/quota.h"
 #include "tool/frame.h"
 #include "tool/frame_sink.h"
 
@@ -93,6 +95,45 @@ TEST(CompressionService, BoundedQueueBackPressuresSubmitters) {
     });
   service.drain();
   EXPECT_EQ(store.read(key(0)).size(), 50u);
+}
+
+TEST(CompressionService, StoreErrorFailsTheServiceNotTheProcess) {
+  // A store that throws on a worker must not reach std::terminate: the
+  // first error is kept, later jobs are dropped, and drain() and submit()
+  // rethrow it. The destructor must not hang on the dropped tickets.
+  runtime::MemoryStore memory;
+  QuotaStore quota(&memory, 100);
+  {
+    CompressionService::Config config;
+    config.workers = 3;
+    CompressionService service(&quota, config);
+    for (std::uint8_t i = 0; i < 10; ++i)
+      service.submit(key(0), 20,
+                     [i] { return std::vector<std::uint8_t>(20, i); });
+    EXPECT_THROW(service.drain(), QuotaExceeded);
+    // The failure is sticky: drain() keeps reporting it, submit() refuses.
+    EXPECT_THROW(service.drain(), QuotaExceeded);
+    EXPECT_THROW(service.submit(key(0), 1,
+                                [] { return std::vector<std::uint8_t>{1}; }),
+                 QuotaExceeded);
+  }
+  // What did land is the in-order prefix that fit the budget.
+  const auto stream = memory.read(key(0));
+  ASSERT_EQ(stream.size(), 100u);
+  for (std::size_t b = 0; b < stream.size(); ++b)
+    EXPECT_EQ(stream[b], b / 20) << "byte " << b;
+}
+
+TEST(CompressionService, EncoderErrorFailsTheService) {
+  runtime::MemoryStore store;
+  CompressionService service(&store);
+  service.submit(key(0), 1, [] { return std::vector<std::uint8_t>{1}; });
+  service.submit(key(0), 1, []() -> std::vector<std::uint8_t> {
+    throw std::runtime_error("encoder failed");
+  });
+  service.submit(key(0), 1, [] { return std::vector<std::uint8_t>{3}; });
+  EXPECT_THROW(service.drain(), std::runtime_error);
+  EXPECT_EQ(store.read(key(0)), (std::vector<std::uint8_t>{1}));
 }
 
 TEST(AsyncFrameSink, ProducesBitIdenticalStreamsToInline) {

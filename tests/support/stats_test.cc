@@ -1,8 +1,8 @@
-#include "support/stats.h"
+#include "obs/stats.h"
 
 #include <gtest/gtest.h>
 
-namespace cdc::support {
+namespace cdc::obs {
 namespace {
 
 TEST(Summary, BasicMoments) {
@@ -24,7 +24,7 @@ TEST(Summary, EmptyIsSafe) {
 }
 
 TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
+  FixedHistogram h(0.0, 10.0, 10);
   h.add(0.5);
   h.add(9.5);
   h.add(-3.0);   // clamps to first bucket
@@ -36,7 +36,7 @@ TEST(Histogram, BucketsAndClamping) {
 }
 
 TEST(Histogram, BoundaryFallsInUpperBucket) {
-  Histogram h(0.0, 10.0, 10);
+  FixedHistogram h(0.0, 10.0, 10);
   h.add(1.0);
   EXPECT_EQ(h.counts()[1], 1u);
 }
@@ -49,4 +49,4 @@ TEST(FormatBytes, HumanUnits) {
 }
 
 }  // namespace
-}  // namespace cdc::support
+}  // namespace cdc::obs
