@@ -13,6 +13,7 @@
 
 #include "compress/crc32.h"
 #include "compress/deflate.h"
+#include "compress/huffman.h"
 #include "compress/lz77.h"
 #include "minimpi/event_heap.h"
 #include "record/baseline.h"
@@ -277,7 +278,35 @@ void BM_DeflateRecordLike(benchmark::State& state) {
   state.counters["ratio"] =
       static_cast<double>(state.range(0)) / static_cast<double>(compressed);
 }
-BENCHMARK(BM_DeflateRecordLike)->Arg(1 << 14)->Arg(1 << 18);
+// 128 B and 1 KiB are record-frame sizes, where each block's Huffman
+// table build weighs most; 16 KiB and 256 KiB amortise it.
+BENCHMARK(BM_DeflateRecordLike)
+    ->Arg(128)
+    ->Arg(1 << 10)
+    ->Arg(1 << 14)
+    ->Arg(1 << 18);
+
+void BM_PackageMerge(benchmark::State& state) {
+  // Every symbol coded, with geometric weights: the largest list each
+  // DEFLATE alphabet can give one block.
+  support::Xoshiro256 rng(5);
+  std::vector<std::uint64_t> freqs(static_cast<std::size_t>(state.range(0)));
+  for (auto& f : freqs) f = 1 + (std::uint64_t{1} << rng.bounded(12));
+  std::vector<std::uint8_t> lengths(freqs.size());
+  const int limit = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    compress::package_merge_lengths(freqs, limit, lengths);
+    benchmark::DoNotOptimize(lengths.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+// The literal/length, distance and code-length alphabets.
+BENCHMARK(BM_PackageMerge)
+    ->ArgNames({"symbols", "limit"})
+    ->Args({286, 15})
+    ->Args({30, 15})
+    ->Args({19, 7});
 
 void BM_Inflate(benchmark::State& state) {
   support::Xoshiro256 rng(4);

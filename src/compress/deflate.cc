@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 
 #include "compress/crc32.h"
 #include "compress/deflate_tables.h"
@@ -14,7 +13,6 @@ namespace cdc::compress {
 
 namespace {
 
-using support::BitReader;
 using support::BitWriter;
 
 using tables::kCodeLenOrder;
@@ -87,15 +85,26 @@ using tables::kFixedLitLenLengths;
 
 // --- Encoder ------------------------------------------------------------
 
-/// Run-length encodes a concatenated code-length sequence into the
-/// code-length alphabet (symbols 0..18 with extra-bit payloads).
+/// One code-length alphabet symbol (0..18) with the repeat payload of
+/// 16/17/18.
 struct ClToken {
   std::uint8_t symbol;
-  std::uint8_t extra;      // payload for 16/17/18
+  std::uint8_t extra;
 };
 
-std::vector<ClToken> rle_code_lengths(std::span<const std::uint8_t> lens) {
-  std::vector<ClToken> out;
+/// Extra payload bits of code-length symbols 16, 17 and 18 (§3.2.7).
+constexpr std::array<int, 3> kClRepeatBits = {2, 3, 7};
+
+int cl_extra_bits(std::uint8_t symbol) noexcept {
+  return symbol >= 16 ? kClRepeatBits[symbol - 16u] : 0;
+}
+
+/// Run-length encodes a concatenated code-length sequence into the
+/// code-length alphabet. Every token covers at least one length, so `out`
+/// needs lens.size() slots; returns the token count.
+std::size_t rle_code_lengths(std::span<const std::uint8_t> lens,
+                             std::span<ClToken> out) {
+  std::size_t count = 0;
   std::size_t i = 0;
   while (i < lens.size()) {
     const std::uint8_t len = lens[i];
@@ -105,42 +114,60 @@ std::vector<ClToken> rle_code_lengths(std::span<const std::uint8_t> lens) {
       std::size_t left = run;
       while (left >= 11) {
         const std::size_t take = std::min<std::size_t>(left, 138);
-        out.push_back({18, static_cast<std::uint8_t>(take - 11)});
+        out[count++] = {18, static_cast<std::uint8_t>(take - 11)};
         left -= take;
       }
       if (left >= 3) {
-        out.push_back({17, static_cast<std::uint8_t>(left - 3)});
+        out[count++] = {17, static_cast<std::uint8_t>(left - 3)};
         left = 0;
       }
-      while (left-- > 0) out.push_back({0, 0});
+      while (left-- > 0) out[count++] = {0, 0};
     } else {
-      out.push_back({len, 0});
+      out[count++] = {len, 0};
       std::size_t left = run - 1;
       while (left >= 3) {
         const std::size_t take = std::min<std::size_t>(left, 6);
-        out.push_back({16, static_cast<std::uint8_t>(take - 3)});
+        out[count++] = {16, static_cast<std::uint8_t>(take - 3)};
         left -= take;
       }
-      while (left-- > 0) out.push_back({len, 0});
+      while (left-- > 0) out[count++] = {len, 0};
     }
     i += run;
   }
-  return out;
+  return count;
 }
 
+/// The dynamic-block plan for one token block and its dynamic/fixed bit
+/// costs. Fixed-size storage, so a plan held in the per-thread scratch is
+/// rebuilt without allocating.
 struct BlockPlan {
-  std::vector<std::uint8_t> litlen_lengths;
-  std::vector<std::uint8_t> dist_lengths;
-  std::vector<ClToken> cl_tokens;
-  std::vector<std::uint8_t> cl_lengths;   // code-length code (limit 7)
+  // Literal/length code lengths followed by distance code lengths: the
+  // concatenated sequence the header's code-length RLE runs over.
+  std::array<std::uint8_t, kNumLitLen + kNumDist> lengths{};
+  std::size_t nlit = 0;   // HLIT + 257
+  std::size_t ndist = 0;  // HDIST + 1
+  std::array<ClToken, kNumLitLen + kNumDist> cl_tokens{};
+  std::size_t num_cl_tokens = 0;
+  std::array<std::uint8_t, kNumCodeLen> cl_lengths{};  // limit 7
+  std::size_t ncl = 0;                                  // HCLEN + 4
   std::size_t header_bits = 0;
   std::size_t body_bits_dynamic = 0;
   std::size_t body_bits_fixed = 0;
+
+  std::span<const std::uint8_t> litlen_lengths() const {
+    return {lengths.data(), nlit};
+  }
+  std::span<const std::uint8_t> dist_lengths() const {
+    return {lengths.data() + nlit, ndist};
+  }
+  std::span<const ClToken> tokens() const {
+    return {cl_tokens.data(), num_cl_tokens};
+  }
 };
 
-/// Computes the dynamic-block plan and the dynamic/fixed bit costs for one
-/// token block.
-BlockPlan plan_block(std::span<const Lz77Token> tokens) {
+/// Fills `plan` for one token block. Cost: one pass over the tokens plus
+/// three package-merges, each O(limit * coded symbols).
+void plan_block(std::span<const Lz77Token> tokens, BlockPlan& plan) {
   std::array<std::uint64_t, kNumLitLen> lit_freq{};
   std::array<std::uint64_t, kNumDist> dist_freq{};
   std::size_t extra_bits = 0;
@@ -162,54 +189,44 @@ BlockPlan plan_block(std::span<const Lz77Token> tokens) {
                   [](std::uint64_t f) { return f == 0; }))
     dist_freq[0] = 1;
 
-  BlockPlan plan;
-  plan.litlen_lengths = package_merge_lengths(lit_freq, 15);
-  plan.dist_lengths = package_merge_lengths(dist_freq, 15);
+  const std::span<std::uint8_t> lit_lengths{plan.lengths.data(), kNumLitLen};
+  std::array<std::uint8_t, kNumDist> dist_lengths{};
+  package_merge_lengths(lit_freq, 15, lit_lengths);
+  package_merge_lengths(dist_freq, 15, dist_lengths);
 
-  // Trim trailing zero lengths but keep the §3.2.7 minima.
-  std::size_t nlit = kNumLitLen;
-  while (nlit > 257 && plan.litlen_lengths[nlit - 1] == 0) --nlit;
-  std::size_t ndist = kNumDist;
-  while (ndist > 1 && plan.dist_lengths[ndist - 1] == 0) --ndist;
-  plan.litlen_lengths.resize(nlit);
-  plan.dist_lengths.resize(ndist);
-
-  std::vector<std::uint8_t> all_lengths = plan.litlen_lengths;
-  all_lengths.insert(all_lengths.end(), plan.dist_lengths.begin(),
-                     plan.dist_lengths.end());
-  plan.cl_tokens = rle_code_lengths(all_lengths);
-
-  std::array<std::uint64_t, kNumCodeLen> cl_freq{};
-  for (const ClToken& t : plan.cl_tokens) ++cl_freq[t.symbol];
-  plan.cl_lengths = package_merge_lengths(cl_freq, 7);
-
-  std::size_t ncl = kNumCodeLen;
-  while (ncl > 4 && plan.cl_lengths[kCodeLenOrder[ncl - 1]] == 0) --ncl;
-
-  plan.header_bits = 5 + 5 + 4 + 3 * ncl;
-  for (const ClToken& t : plan.cl_tokens) {
-    plan.header_bits += plan.cl_lengths[t.symbol];
-    if (t.symbol == 16) plan.header_bits += 2;
-    if (t.symbol == 17) plan.header_bits += 3;
-    if (t.symbol == 18) plan.header_bits += 7;
-  }
-
-  for (std::size_t s = 0; s < lit_freq.size(); ++s) {
-    plan.body_bits_dynamic +=
-        lit_freq[s] * (s < plan.litlen_lengths.size()
-                           ? plan.litlen_lengths[s]
-                           : 0);
+  plan.body_bits_dynamic = extra_bits;
+  plan.body_bits_fixed = extra_bits;
+  for (std::size_t s = 0; s < kNumLitLen; ++s) {
+    plan.body_bits_dynamic += lit_freq[s] * lit_lengths[s];
     plan.body_bits_fixed += lit_freq[s] * kFixedLitLenLengths[s];
   }
-  for (std::size_t s = 0; s < dist_freq.size(); ++s) {
-    plan.body_bits_dynamic +=
-        dist_freq[s] *
-        (s < plan.dist_lengths.size() ? plan.dist_lengths[s] : 0);
+  for (std::size_t s = 0; s < kNumDist; ++s) {
+    plan.body_bits_dynamic += dist_freq[s] * dist_lengths[s];
     plan.body_bits_fixed += dist_freq[s] * kFixedDistLengths[s];
   }
-  plan.body_bits_dynamic += extra_bits;
-  plan.body_bits_fixed += extra_bits;
-  return plan;
+
+  // Trim trailing zero lengths but keep the §3.2.7 minima, then place the
+  // distance lengths right after the literal/length ones.
+  plan.nlit = kNumLitLen;
+  while (plan.nlit > 257 && lit_lengths[plan.nlit - 1] == 0) --plan.nlit;
+  plan.ndist = kNumDist;
+  while (plan.ndist > 1 && dist_lengths[plan.ndist - 1] == 0) --plan.ndist;
+  std::copy_n(dist_lengths.begin(), plan.ndist,
+              plan.lengths.begin() + static_cast<std::ptrdiff_t>(plan.nlit));
+  plan.num_cl_tokens = rle_code_lengths(
+      {plan.lengths.data(), plan.nlit + plan.ndist}, plan.cl_tokens);
+
+  std::array<std::uint64_t, kNumCodeLen> cl_freq{};
+  for (const ClToken& t : plan.tokens()) ++cl_freq[t.symbol];
+  package_merge_lengths(cl_freq, 7, plan.cl_lengths);
+
+  plan.ncl = kNumCodeLen;
+  while (plan.ncl > 4 && plan.cl_lengths[kCodeLenOrder[plan.ncl - 1]] == 0)
+    --plan.ncl;
+
+  plan.header_bits = 5 + 5 + 4 + 3 * plan.ncl;
+  for (const ClToken& t : plan.tokens())
+    plan.header_bits += plan.cl_lengths[t.symbol] + cl_extra_bits(t.symbol);
 }
 
 /// A Huffman code ready for BitWriter::put_bits: bit-reversed (DEFLATE
@@ -219,25 +236,44 @@ struct EmitCode {
   std::uint8_t len = 0;
 };
 
-std::uint32_t reverse_code(std::uint32_t code, int length) noexcept {
-  std::uint32_t reversed = 0;
-  for (int i = 0; i < length; ++i)
-    reversed |= ((code >> i) & 1u) << (length - 1 - i);
-  return reversed;
+constexpr std::array<std::uint8_t, 256> make_reverse_byte() {
+  std::array<std::uint8_t, 256> t{};
+  for (unsigned b = 0; b < 256; ++b) {
+    unsigned r = 0;
+    for (int i = 0; i < 8; ++i) r |= ((b >> i) & 1u) << (7 - i);
+    t[b] = static_cast<std::uint8_t>(r);
+  }
+  return t;
 }
 
-template <std::size_t N>
-void build_emit_codes(std::span<const std::uint8_t> lengths,
-                      std::array<EmitCode, N>& out) {
-  const std::vector<std::uint32_t> codes = canonical_codes(lengths);
-  out.fill(EmitCode{});
-  for (std::size_t s = 0; s < lengths.size(); ++s) {
-    if (lengths[s] == 0) continue;
-    out[s].bits = static_cast<std::uint16_t>(
-        reverse_code(codes[s], lengths[s]));
-    out[s].len = lengths[s];
-  }
+inline constexpr auto kReverseByte = make_reverse_byte();
+
+/// The low `length` (1..16) bits of `code`, bit-reversed.
+constexpr std::uint16_t reverse_code(std::uint32_t code, int length) noexcept {
+  const std::uint32_t reversed16 =
+      (static_cast<std::uint32_t>(kReverseByte[code & 0xffu]) << 8) |
+      kReverseByte[(code >> 8) & 0xffu];
+  return static_cast<std::uint16_t>(reversed16 >> (16 - length));
 }
+
+/// Canonical codes for `lengths`, assigned in place and pre-reversed.
+template <std::size_t N>
+constexpr std::array<EmitCode, N> emit_codes(
+    std::span<const std::uint8_t> lengths) {
+  auto next = canonical_first_codes(lengths);
+  std::array<EmitCode, N> out{};
+  for (std::size_t s = 0; s < lengths.size(); ++s) {
+    const std::uint8_t len = lengths[s];
+    if (len == 0) continue;
+    out[s] = {reverse_code(next[len]++, len), len};
+  }
+  return out;
+}
+
+// The fixed-Huffman (§3.2.6) emit tables, built at compile time.
+inline constexpr auto kFixedLitEmit =
+    emit_codes<kNumLitLen>(kFixedLitLenLengths);
+inline constexpr auto kFixedDistEmit = emit_codes<32>(kFixedDistLengths);
 
 void emit_tokens(BitWriter& bw, std::span<const Lz77Token> tokens,
                  const std::array<EmitCode, kNumLitLen>& lit,
@@ -291,31 +327,28 @@ void emit_stored_block(BitWriter& bw, std::span<const std::uint8_t> raw,
 }
 
 void emit_dynamic_header(BitWriter& bw, const BlockPlan& plan) {
-  std::size_t ncl = kNumCodeLen;
-  while (ncl > 4 && plan.cl_lengths[kCodeLenOrder[ncl - 1]] == 0) --ncl;
-
-  bw.write(static_cast<std::uint32_t>(plan.litlen_lengths.size() - 257), 5);
-  bw.write(static_cast<std::uint32_t>(plan.dist_lengths.size() - 1), 5);
-  bw.write(static_cast<std::uint32_t>(ncl - 4), 4);
-  for (std::size_t i = 0; i < ncl; ++i)
+  bw.write(static_cast<std::uint32_t>(plan.nlit - 257), 5);
+  bw.write(static_cast<std::uint32_t>(plan.ndist - 1), 5);
+  bw.write(static_cast<std::uint32_t>(plan.ncl - 4), 4);
+  for (std::size_t i = 0; i < plan.ncl; ++i)
     bw.write(plan.cl_lengths[kCodeLenOrder[i]], 3);
 
-  const auto cl_codes = canonical_codes(plan.cl_lengths);
-  for (const ClToken& t : plan.cl_tokens) {
-    bw.write_huffman(cl_codes[t.symbol], plan.cl_lengths[t.symbol]);
-    if (t.symbol == 16) bw.write(t.extra, 2);
-    if (t.symbol == 17) bw.write(t.extra, 3);
-    if (t.symbol == 18) bw.write(t.extra, 7);
+  const auto cl_emit = emit_codes<kNumCodeLen>(plan.cl_lengths);
+  for (const ClToken& t : plan.tokens()) {
+    const EmitCode& e = cl_emit[t.symbol];
+    bw.put_bits(e.bits | static_cast<std::uint64_t>(t.extra) << e.len,
+                e.len + cl_extra_bits(t.symbol));
   }
 }
 
-/// Per-thread codec scratch: the LZ77 chain workspace plus the token
-/// buffer, both recycled across calls so steady-state compression does
-/// not allocate. Holds capacity only — never data that could leak between
-/// inputs (see the determinism contract in deflate.h).
+/// Per-thread codec scratch: the LZ77 chain workspace, the token buffer
+/// and the block plan, all recycled across calls so steady-state
+/// compression does not allocate. Holds capacity only — never data that
+/// could leak between inputs (see the determinism contract in deflate.h).
 struct DeflateScratch {
   Lz77Workspace workspace;
   std::vector<Lz77Token> tokens;
+  BlockPlan plan;
 };
 
 DeflateScratch& deflate_scratch() {
@@ -338,8 +371,7 @@ void deflate_into(BitWriter& bw, std::span<const std::uint8_t> input,
   lz77_tokenize_into(scratch.workspace, input, lz77_params_for(level),
                      tokens);
 
-  std::array<EmitCode, kNumLitLen> lit_emit;
-  std::array<EmitCode, 32> dist_emit;
+  BlockPlan& plan = scratch.plan;
 
   // Chunk the token stream into blocks so that each block gets Huffman
   // tables fit to its local statistics.
@@ -356,7 +388,7 @@ void deflate_into(BitWriter& bw, std::span<const std::uint8_t> input,
     const std::span<const Lz77Token> block{tokens.data() + tok_begin,
                                            tok_end - tok_begin};
 
-    const BlockPlan plan = plan_block(block);
+    plan_block(block, plan);
     const std::size_t dynamic_bits =
         3 + plan.header_bits + plan.body_bits_dynamic;
     const std::size_t fixed_bits = 3 + plan.body_bits_fixed;
@@ -369,16 +401,13 @@ void deflate_into(BitWriter& bw, std::span<const std::uint8_t> input,
     } else if (fixed_bits <= dynamic_bits) {
       bw.write(final_block ? 1u : 0u, 1);
       bw.write(1u, 2);  // BTYPE = 01 fixed
-      build_emit_codes(kFixedLitLenLengths, lit_emit);
-      build_emit_codes(kFixedDistLengths, dist_emit);
-      emit_tokens(bw, block, lit_emit, dist_emit);
+      emit_tokens(bw, block, kFixedLitEmit, kFixedDistEmit);
     } else {
       bw.write(final_block ? 1u : 0u, 1);
       bw.write(2u, 2);  // BTYPE = 10 dynamic
       emit_dynamic_header(bw, plan);
-      build_emit_codes(plan.litlen_lengths, lit_emit);
-      build_emit_codes(plan.dist_lengths, dist_emit);
-      emit_tokens(bw, block, lit_emit, dist_emit);
+      emit_tokens(bw, block, emit_codes<kNumLitLen>(plan.litlen_lengths()),
+                  emit_codes<32>(plan.dist_lengths()));
     }
 
     tok_begin = tok_end;
@@ -445,145 +474,6 @@ std::vector<std::uint8_t> deflate_compress(
   BitWriter bw(std::move(reuse));
   deflate_into(bw, input, level);
   return std::move(bw).finish();
-}
-
-namespace {
-
-/// Decodes one Huffman symbol; -1 on malformed input.
-int decode_symbol(BitReader& br, HuffmanDecoder& dec) {
-  return dec.decode(br);
-}
-
-bool inflate_block_body(BitReader& br, HuffmanDecoder& lit_dec,
-                        HuffmanDecoder& dist_dec,
-                        std::vector<std::uint8_t>& out) {
-  for (;;) {
-    const int sym = decode_symbol(br, lit_dec);
-    if (sym < 0) return false;
-    if (sym < 256) {
-      out.push_back(static_cast<std::uint8_t>(sym));
-      continue;
-    }
-    if (sym == kEndOfBlock) return true;
-    const int lc = sym - 257;
-    if (lc >= static_cast<int>(kLengthCodes.size())) return false;
-    const LengthCode& le = kLengthCodes[static_cast<std::size_t>(lc)];
-    std::uint32_t extra = 0;
-    if (le.extra > 0 && !br.try_read(le.extra, extra)) return false;
-    const std::size_t length = le.base + extra;
-
-    const int dsym = decode_symbol(br, dist_dec);
-    if (dsym < 0 || dsym >= static_cast<int>(kDistCodes.size())) return false;
-    const LengthCode& de = kDistCodes[static_cast<std::size_t>(dsym)];
-    std::uint32_t dextra = 0;
-    if (de.extra > 0 && !br.try_read(de.extra, dextra)) return false;
-    const std::size_t distance = de.base + dextra;
-    if (distance == 0 || distance > out.size()) return false;
-
-    const std::size_t start = out.size() - distance;
-    for (std::size_t i = 0; i < length; ++i)
-      out.push_back(out[start + i]);
-  }
-}
-
-bool read_dynamic_tables(BitReader& br, HuffmanDecoder& lit_dec,
-                         HuffmanDecoder& dist_dec) {
-  std::uint32_t hlit = 0;
-  std::uint32_t hdist = 0;
-  std::uint32_t hclen = 0;
-  if (!br.try_read(5, hlit) || !br.try_read(5, hdist) ||
-      !br.try_read(4, hclen))
-    return false;
-  const std::size_t nlit = hlit + 257;
-  const std::size_t ndist = hdist + 1;
-  const std::size_t ncl = hclen + 4;
-  if (nlit > kNumLitLen || ndist > 32) return false;
-
-  std::vector<std::uint8_t> cl_lengths(kNumCodeLen, 0);
-  for (std::size_t i = 0; i < ncl; ++i) {
-    std::uint32_t v = 0;
-    if (!br.try_read(3, v)) return false;
-    cl_lengths[kCodeLenOrder[i]] = static_cast<std::uint8_t>(v);
-  }
-  HuffmanDecoder cl_dec;
-  if (!cl_dec.init(cl_lengths)) return false;
-
-  std::vector<std::uint8_t> lengths;
-  lengths.reserve(nlit + ndist);
-  while (lengths.size() < nlit + ndist) {
-    const int sym = decode_symbol(br, cl_dec);
-    if (sym < 0) return false;
-    if (sym < 16) {
-      lengths.push_back(static_cast<std::uint8_t>(sym));
-    } else if (sym == 16) {
-      std::uint32_t rep = 0;
-      if (!br.try_read(2, rep) || lengths.empty()) return false;
-      const std::uint8_t prev = lengths.back();
-      for (std::uint32_t i = 0; i < rep + 3; ++i) lengths.push_back(prev);
-    } else if (sym == 17) {
-      std::uint32_t rep = 0;
-      if (!br.try_read(3, rep)) return false;
-      for (std::uint32_t i = 0; i < rep + 3; ++i) lengths.push_back(0);
-    } else {
-      std::uint32_t rep = 0;
-      if (!br.try_read(7, rep)) return false;
-      for (std::uint32_t i = 0; i < rep + 11; ++i) lengths.push_back(0);
-    }
-  }
-  if (lengths.size() != nlit + ndist) return false;
-
-  const std::span<const std::uint8_t> all{lengths};
-  if (!lit_dec.init(all.subspan(0, nlit))) return false;
-  // An all-zero distance alphabet is legal when the block has no matches;
-  // init() rejects it, so tolerate that case with an unusable decoder.
-  const auto dist_lengths = all.subspan(nlit, ndist);
-  if (!dist_dec.init(dist_lengths)) {
-    const bool all_zero =
-        std::all_of(dist_lengths.begin(), dist_lengths.end(),
-                    [](std::uint8_t l) { return l == 0; });
-    if (!all_zero) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-std::optional<std::vector<std::uint8_t>> deflate_decompress_reference(
-    std::span<const std::uint8_t> compressed) {
-  BitReader br(compressed);
-  std::vector<std::uint8_t> out;
-  for (;;) {
-    std::uint32_t bfinal = 0;
-    std::uint32_t btype = 0;
-    if (!br.try_read_bit(bfinal) || !br.try_read(2, btype))
-      return std::nullopt;
-    if (btype == 0) {
-      std::span<const std::uint8_t> header;
-      if (!br.try_read_aligned_bytes(4, header)) return std::nullopt;
-      const std::uint16_t len =
-          static_cast<std::uint16_t>(header[0] | (header[1] << 8));
-      const std::uint16_t nlen =
-          static_cast<std::uint16_t>(header[2] | (header[3] << 8));
-      if (static_cast<std::uint16_t>(~len) != nlen) return std::nullopt;
-      std::span<const std::uint8_t> raw;
-      if (!br.try_read_aligned_bytes(len, raw)) return std::nullopt;
-      out.insert(out.end(), raw.begin(), raw.end());
-    } else if (btype == 1) {
-      HuffmanDecoder lit_dec(kFixedLitLenLengths);
-      HuffmanDecoder dist_dec(kFixedDistLengths);
-      if (!inflate_block_body(br, lit_dec, dist_dec, out))
-        return std::nullopt;
-    } else if (btype == 2) {
-      HuffmanDecoder lit_dec;
-      HuffmanDecoder dist_dec;
-      if (!read_dynamic_tables(br, lit_dec, dist_dec)) return std::nullopt;
-      if (!inflate_block_body(br, lit_dec, dist_dec, out))
-        return std::nullopt;
-    } else {
-      return std::nullopt;
-    }
-    if (bfinal) return out;
-  }
 }
 
 // --- gzip container (RFC 1952) -------------------------------------------

@@ -54,12 +54,6 @@ std::optional<std::vector<std::uint8_t>> deflate_decompress(
     std::span<const std::uint8_t> compressed,
     std::vector<std::uint8_t> reuse = {});
 
-/// The seed's bit-serial decoder, kept as the oracle the differential
-/// decode battery checks the batched decoder against: identical bytes on
-/// accept, identical rejection on truncated or corrupt streams.
-std::optional<std::vector<std::uint8_t>> deflate_decompress_reference(
-    std::span<const std::uint8_t> compressed);
-
 /// Compresses into a gzip member (header + DEFLATE + CRC32 + ISIZE).
 /// `reuse` donates capacity as in deflate_compress.
 std::vector<std::uint8_t> gzip_compress(

@@ -9,100 +9,122 @@ namespace cdc::compress {
 
 namespace {
 
-// A package in package-merge: accumulated weight plus the multiset of leaf
-// symbols it contains (symbol indices into the active-symbol array).
-struct Package {
+struct Leaf {
   std::uint64_t weight = 0;
-  std::vector<std::uint16_t> symbols;
+  std::uint32_t symbol = 0;
 };
 
-bool weight_less(const Package& a, const Package& b) noexcept {
+bool weight_less(const Leaf& a, const Leaf& b) noexcept {
   return a.weight < b.weight;
+}
+
+/// Per-thread package-merge workspace. Holds capacity only: every call
+/// overwrites what it reads.
+struct MergeScratch {
+  std::vector<Leaf> leaves;           // coded symbols, sorted by weight
+  std::vector<std::uint64_t> weights;  // leaf weights, packages, level lists
+  std::vector<std::uint8_t> is_leaf;   // per level: item is a leaf (1)
+};
+
+MergeScratch& merge_scratch() {
+  thread_local MergeScratch scratch;
+  return scratch;
 }
 
 }  // namespace
 
-std::vector<std::uint8_t> package_merge_lengths(
-    std::span<const std::uint64_t> freqs, int limit) {
+// Package-merge without symbol lists. Level `limit` is the sorted leaves;
+// each level toward 1 pairs up the previous level's items into packages
+// and merges them with the leaves (a leaf goes first unless the package
+// is strictly lighter). The optimal code takes the first 2(n-1) items of
+// the level-1 list. A package taken at level L stands for the two items
+// it paired at level L+1, and because merging keeps both inputs in order,
+// the items taken at every level form a prefix of that level's list. So
+// the lengths follow from counting leaves in those prefixes: walking from
+// level 1, a prefix of k items holding `leaves_used` leaves adds 1 to the
+// `leaves_used` lightest leaves and takes 2 * (k - leaves_used) items of
+// the next level. Only the leaf/package flags are kept per level.
+void package_merge_lengths(std::span<const std::uint64_t> freqs, int limit,
+                           std::span<std::uint8_t> lengths) {
   CDC_CHECK(limit >= 1 && limit <= 32);
-  std::vector<std::uint8_t> lengths(freqs.size(), 0);
+  CDC_CHECK(lengths.size() == freqs.size());
+  std::fill(lengths.begin(), lengths.end(), std::uint8_t{0});
 
-  std::vector<std::uint16_t> active;
+  MergeScratch& scratch = merge_scratch();
+  std::vector<Leaf>& leaves = scratch.leaves;
+  leaves.clear();
   for (std::size_t s = 0; s < freqs.size(); ++s)
-    if (freqs[s] > 0) active.push_back(static_cast<std::uint16_t>(s));
+    if (freqs[s] > 0)
+      leaves.push_back(Leaf{freqs[s], static_cast<std::uint32_t>(s)});
 
-  if (active.empty()) return lengths;
-  if (active.size() == 1) {
-    lengths[active[0]] = 1;
-    return lengths;
+  const std::size_t n = leaves.size();
+  if (n == 0) return;
+  if (n == 1) {
+    lengths[leaves[0].symbol] = 1;
+    return;
   }
-  CDC_CHECK_MSG(active.size() <= (std::size_t{1} << limit),
+  CDC_CHECK_MSG(n <= (std::size_t{1} << limit),
                 "alphabet too large for length limit");
-
-  std::vector<Package> leaves;
-  leaves.reserve(active.size());
-  for (const std::uint16_t s : active)
-    leaves.push_back(Package{freqs[s], {s}});
+  // The order of equal weights decides which leaves get the longer codes,
+  // so the encoder's output bytes depend on this exact sort.
   std::sort(leaves.begin(), leaves.end(), weight_less);
 
-  // Level `limit` starts with the bare leaves; moving toward level 1 we
-  // package pairs and merge fresh leaves back in.
-  std::vector<Package> prev = leaves;
+  // Every level's list holds n leaves plus fewer than n packages. The
+  // leaf and package weight arrays end in a sentinel slot.
+  const std::size_t width = 2 * n;
+  scratch.weights.resize(4 * width);
+  scratch.is_leaf.resize(static_cast<std::size_t>(limit) * width);
+  std::uint64_t* leaf_weight = scratch.weights.data();
+  std::uint64_t* package_weight = leaf_weight + width;
+  std::uint64_t* prev = package_weight + width;
+  std::uint64_t* next = prev + width;
+  const auto flags_of = [&](int level) {
+    return scratch.is_leaf.data() +
+           static_cast<std::size_t>(level - 1) * width;
+  };
+
+  for (std::size_t i = 0; i < n; ++i) leaf_weight[i] = leaves[i].weight;
+  leaf_weight[n] = 0;
+  std::copy_n(leaf_weight, n, prev);
+  std::fill_n(flags_of(limit), n, std::uint8_t{1});
+  std::size_t prev_size = n;
   for (int level = limit - 1; level >= 1; --level) {
-    std::vector<Package> packaged;
-    packaged.reserve(prev.size() / 2);
-    for (std::size_t i = 0; i + 1 < prev.size(); i += 2) {
-      Package merged;
-      merged.weight = prev[i].weight + prev[i + 1].weight;
-      merged.symbols = prev[i].symbols;
-      merged.symbols.insert(merged.symbols.end(), prev[i + 1].symbols.begin(),
-                            prev[i + 1].symbols.end());
-      packaged.push_back(std::move(merged));
+    const std::size_t packages = prev_size / 2;
+    for (std::size_t j = 0; j < packages; ++j)
+      package_weight[j] = prev[2 * j] + prev[2 * j + 1];
+    package_weight[packages] = ~std::uint64_t{0};
+    // Branch-free merge: a leaf goes first unless the package is
+    // strictly lighter; the sentinel package loses to every leaf.
+    std::uint8_t* flags = flags_of(level);
+    const std::size_t size = n + packages;
+    std::size_t leaf = 0;
+    std::size_t pkg = 0;
+    for (std::size_t out = 0; out < size; ++out) {
+      const std::uint64_t lw = leaf_weight[leaf];
+      const std::uint64_t pw = package_weight[pkg];
+      const bool take_leaf = (leaf < n) & !(pw < lw);
+      next[out] = take_leaf ? lw : pw;
+      flags[out] = take_leaf ? 1 : 0;
+      leaf += take_leaf ? 1 : 0;
+      pkg += take_leaf ? 0 : 1;
     }
-    std::vector<Package> next;
-    next.reserve(leaves.size() + packaged.size());
-    std::merge(leaves.begin(), leaves.end(),
-               std::make_move_iterator(packaged.begin()),
-               std::make_move_iterator(packaged.end()),
-               std::back_inserter(next), weight_less);
-    prev = std::move(next);
+    std::swap(prev, next);
+    prev_size = size;
   }
 
-  // The first 2(n-1) packages of the level-1 list; every occurrence of a
-  // symbol adds one to its code length.
-  const std::size_t take = 2 * (active.size() - 1);
-  CDC_CHECK(prev.size() >= take);
-  for (std::size_t i = 0; i < take; ++i)
-    for (const std::uint16_t s : prev[i].symbols) ++lengths[s];
-
-  for (const std::uint16_t s : active)
-    CDC_CHECK(lengths[s] >= 1 &&
-              lengths[s] <= static_cast<std::uint8_t>(limit));
-  return lengths;
-}
-
-std::vector<std::uint32_t> canonical_codes(
-    std::span<const std::uint8_t> lengths) {
-  constexpr int kMaxBits = 32;
-  std::uint32_t bl_count[kMaxBits + 1] = {};
-  int max_len = 0;
-  for (const std::uint8_t len : lengths) {
-    CDC_CHECK(len <= kMaxBits);
-    if (len > 0) {
-      ++bl_count[len];
-      max_len = std::max<int>(max_len, len);
-    }
+  std::size_t take = 2 * (n - 1);
+  CDC_CHECK(prev_size >= take);  // the level-1 list
+  for (int level = 1; level <= limit && take > 0; ++level) {
+    const std::uint8_t* flags = flags_of(level);
+    std::size_t leaves_used = 0;
+    for (std::size_t i = 0; i < take; ++i) leaves_used += flags[i];
+    for (std::size_t i = 0; i < leaves_used; ++i) ++lengths[leaves[i].symbol];
+    take = 2 * (take - leaves_used);
   }
-  std::uint32_t next_code[kMaxBits + 1] = {};
-  std::uint32_t code = 0;
-  for (int bits = 1; bits <= max_len; ++bits) {
-    code = (code + bl_count[bits - 1]) << 1;
-    next_code[bits] = code;
-  }
-  std::vector<std::uint32_t> codes(lengths.size(), 0);
-  for (std::size_t s = 0; s < lengths.size(); ++s)
-    if (lengths[s] > 0) codes[s] = next_code[lengths[s]]++;
-  return codes;
+
+  for (const Leaf& l : leaves)
+    CDC_CHECK(lengths[l.symbol] >= 1 &&
+              lengths[l.symbol] <= static_cast<std::uint8_t>(limit));
 }
 
 bool HuffmanDecoder::init(std::span<const std::uint8_t> lengths) {

@@ -11,20 +11,41 @@
 #include <vector>
 
 #include "support/bitstream.h"
+#include "support/check.h"
 
 namespace cdc::compress {
 
-/// Optimal length-limited code lengths for the given symbol frequencies.
-/// Symbols with zero frequency get length 0 (no code). If only one symbol
-/// has nonzero frequency it is assigned length 1. Returns one length per
-/// symbol, all <= `limit`.
-std::vector<std::uint8_t> package_merge_lengths(
-    std::span<const std::uint64_t> freqs, int limit);
+/// Optimal length-limited code lengths for the given symbol frequencies,
+/// written to `lengths` (one entry per symbol, so lengths.size() ==
+/// freqs.size()). Symbols with zero frequency get length 0 (no code). If
+/// only one symbol has nonzero frequency it is assigned length 1. Every
+/// length is <= `limit`. Costs O(limit * n) for n coded symbols and does
+/// not allocate once the calling thread has seen an alphabet this large.
+void package_merge_lengths(std::span<const std::uint64_t> freqs, int limit,
+                           std::span<std::uint8_t> lengths);
 
-/// Canonical code values for given code lengths (RFC 1951 §3.2.2).
-/// codes[s] is meaningful only where lengths[s] > 0.
-std::vector<std::uint32_t> canonical_codes(
-    std::span<const std::uint8_t> lengths);
+/// Longest code length canonical_first_codes accepts.
+inline constexpr int kMaxCanonicalBits = 32;
+
+/// The first canonical code of each length (RFC 1951 §3.2.2, step 2).
+/// Walking symbols in order, a symbol of length L > 0 takes code
+/// first[L]++ — the canonical assignment, done in place by callers.
+constexpr std::array<std::uint32_t, kMaxCanonicalBits + 1>
+canonical_first_codes(std::span<const std::uint8_t> lengths) {
+  std::array<std::uint32_t, kMaxCanonicalBits + 1> count{};
+  for (const std::uint8_t len : lengths) {
+    CDC_CHECK(len <= kMaxCanonicalBits);
+    ++count[len];
+  }
+  count[0] = 0;
+  std::array<std::uint32_t, kMaxCanonicalBits + 1> first{};
+  std::uint32_t code = 0;
+  for (int bits = 1; bits <= kMaxCanonicalBits; ++bits) {
+    code = (code + count[static_cast<std::size_t>(bits - 1)]) << 1;
+    first[static_cast<std::size_t>(bits)] = code;
+  }
+  return first;
+}
 
 /// Canonical Huffman decoder. decode() resolves almost every symbol with
 /// one table lookup over the next kFastBits bits (codes longer than that

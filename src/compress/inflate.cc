@@ -6,8 +6,9 @@
 // bounds check per symbol instead of one per byte. Match copies go through
 // overlap-aware 8-byte chunks into a slack-padded output buffer.
 //
-// Rejection semantics are bit-for-bit those of deflate_decompress_reference
-// — the differential battery in tests/compress/inflate_differential_test.cc
+// Rejection semantics are bit-for-bit those of the seed's bit-serial
+// decoder, kept as a test oracle in tests/compress/inflate_reference.cc —
+// the differential battery in tests/compress/inflate_differential_test.cc
 // holds the two to identical accept/reject decisions and identical output,
 // so replay's trust model does not change with the fast path.
 

@@ -220,6 +220,18 @@ bool same_file_bytes(const std::string& a, const std::string& b,
   return false;
 }
 
+/// True once nothing exists at `path`, polling for up to two seconds. The
+/// server discards a never-sealed record when it tears the connection
+/// down, which can trail what the client saw: ERROR is sent before the
+/// close, and a client that just vanishes is noticed later still.
+bool eventually_absent(const fs::path& path) {
+  for (int i = 0; i < 200; ++i) {
+    if (!fs::exists(path)) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return !fs::exists(path);
+}
+
 void verify_outcomes(const LoadConfig& config,
                      const std::vector<ClientOutcome>& outcomes,
                      LoadReport& report) {
@@ -234,8 +246,8 @@ void verify_outcomes(const LoadConfig& config,
     const std::string server_path =
         (tenant_dir / (record_name(i) + ".cdcc")).string();
     if (!outcome.sealed) {
-      // Never sealed: the name must refer to nothing.
-      if (fs::exists(server_path)) {
+      // Never sealed: the name must come to refer to nothing.
+      if (!eventually_absent(server_path)) {
         ++report.verify_failures;
         report.errors.push_back(record_name(i) +
                                 ": unsealed record present on server");

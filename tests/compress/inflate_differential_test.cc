@@ -1,5 +1,6 @@
 // Differential decode battery: the batched inflate (deflate_decompress)
-// against the seed's bit-serial decoder (deflate_decompress_reference).
+// against the seed's bit-serial decoder (reference::deflate_decompress,
+// inflate_reference.h).
 // The two must agree byte-for-byte on every accepted stream and make the
 // identical accept/reject decision on truncated and bit-flipped streams —
 // the fast path may change decode speed, never the trust model.
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "compress/deflate.h"
+#include "inflate_reference.h"
 #include "support/rng.h"
 
 namespace cdc::compress {
@@ -105,10 +107,10 @@ std::vector<std::vector<std::uint8_t>> build_corpus(std::uint64_t seed) {
 void expect_identical(std::span<const std::uint8_t> stream,
                       const std::string& what) {
   const auto fast = deflate_decompress(stream);
-  const auto reference = deflate_decompress_reference(stream);
-  ASSERT_EQ(fast.has_value(), reference.has_value()) << what;
+  const auto oracle = reference::deflate_decompress(stream);
+  ASSERT_EQ(fast.has_value(), oracle.has_value()) << what;
   if (fast.has_value()) {
-    ASSERT_EQ(*fast, *reference) << what;
+    ASSERT_EQ(*fast, *oracle) << what;
   }
 }
 
@@ -120,13 +122,13 @@ TEST(fuzz_inflate_differential, CorpusEveryLevelByteForByte) {
     for (const DeflateLevel level : kLevels) {
       const auto packed = deflate_compress(payload, level);
       const auto fast = deflate_decompress(packed);
-      const auto reference = deflate_decompress_reference(packed);
+      const auto oracle = reference::deflate_decompress(packed);
       const std::string what = "payload " + std::to_string(idx) + " level " +
                                std::string(to_string(level));
       ASSERT_TRUE(fast.has_value()) << what;
-      ASSERT_TRUE(reference.has_value()) << what;
+      ASSERT_TRUE(oracle.has_value()) << what;
       ASSERT_EQ(*fast, payload) << what;
-      ASSERT_EQ(*reference, payload) << what;
+      ASSERT_EQ(*oracle, payload) << what;
     }
     ++idx;
   }

@@ -396,6 +396,20 @@ TEST_F(ResumeLoopbackTest, NonResumableDisconnectStillDiscards) {
   EXPECT_EQ(server_->stats().sessions_parked, 0u);
 }
 
+TEST_F(ResumeLoopbackTest, FreshJournalFollowsTheContainerHeader) {
+  // A journal with no batch entries proves the 8-byte container header;
+  // a restart resumes exactly that prefix. So by the time the journal
+  // exists — before any PUT_FRAMES — the header must already be in the
+  // file, or a daemon killed right after WELCOME leaves a record that
+  // cannot be resumed.
+  start_server();
+  auto client = dial("fresh", /*resumable=*/true);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(std::filesystem::exists(
+      store::session_journal_path(record_path("fresh"))));
+  EXPECT_GE(std::filesystem::file_size(record_path("fresh")), 8u);
+}
+
 TEST_F(ResumeLoopbackTest, UnjournaledPartialDiscardedAtStartup) {
   // A container with no sidecar journal (a pre-resume crash leftover)
   // must be swept on start(), not resurrected.

@@ -18,6 +18,18 @@ runtime::StreamKey key(std::int32_t rank, std::uint32_t callsite = 0) {
   return runtime::StreamKey{rank, callsite};
 }
 
+/// Submits a job queued after a failing one. submit() rethrows a failure
+/// a worker has already recorded, so depending on timing the job is
+/// refused here or dropped later; drain() reports the failure either way.
+template <typename Error, typename Encode>
+void submit_after_failure(CompressionService& service, std::size_t raw_size,
+                          Encode encode) {
+  try {
+    service.submit(key(0), raw_size, std::move(encode));
+  } catch (const Error&) {
+  }
+}
+
 TEST(CompressionService, CommitsInSubmissionOrderDespiteSlowEarlyJobs) {
   runtime::MemoryStore store;
   CompressionService::Config config;
@@ -107,9 +119,12 @@ TEST(CompressionService, StoreErrorFailsTheServiceNotTheProcess) {
     CompressionService::Config config;
     config.workers = 3;
     CompressionService service(&quota, config);
-    for (std::uint8_t i = 0; i < 10; ++i)
+    for (std::uint8_t i = 0; i < 5; ++i)
       service.submit(key(0), 20,
                      [i] { return std::vector<std::uint8_t>(20, i); });
+    for (std::uint8_t i = 5; i < 10; ++i)
+      submit_after_failure<QuotaExceeded>(
+          service, 20, [i] { return std::vector<std::uint8_t>(20, i); });
     EXPECT_THROW(service.drain(), QuotaExceeded);
     // The failure is sticky: drain() keeps reporting it, submit() refuses.
     EXPECT_THROW(service.drain(), QuotaExceeded);
@@ -131,7 +146,8 @@ TEST(CompressionService, EncoderErrorFailsTheService) {
   service.submit(key(0), 1, []() -> std::vector<std::uint8_t> {
     throw std::runtime_error("encoder failed");
   });
-  service.submit(key(0), 1, [] { return std::vector<std::uint8_t>{3}; });
+  submit_after_failure<std::runtime_error>(
+      service, 1, [] { return std::vector<std::uint8_t>{3}; });
   EXPECT_THROW(service.drain(), std::runtime_error);
   EXPECT_EQ(store.read(key(0)), (std::vector<std::uint8_t>{1}));
 }
