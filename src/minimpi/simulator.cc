@@ -565,7 +565,11 @@ void Simulator::poll_mf(Rank rank) {
     case SelectResult::Action::kDeliver: {
       CDC_CHECK_MSG(!selection.indices.empty(),
                     "kDeliver with an empty index list");
-      if (!is_multi_delivery(mf.kind)) selection.indices.resize(1);
+      // erase, not resize(1): GCC 12 reports a false -Warray-bounds on the
+      // latter in CDC_OBS=OFF Release builds.
+      if (!is_multi_delivery(mf.kind))
+        selection.indices.erase(selection.indices.begin() + 1,
+                                selection.indices.end());
 
       // Phase A: extract the selected messages, releasing their current
       // bindings.

@@ -25,8 +25,7 @@ std::unique_ptr<store::CompressionService> make_service(
 
 AsyncRecorder::AsyncRecorder(const Config& config,
                              runtime::RecordStore* store)
-    : store_(store),
-      recorder_(config.key, config.options),
+    : recorder_(config.key, config.options),
       service_(make_service(config, store)),
       sink_(service_ != nullptr
                 ? static_cast<std::unique_ptr<FrameSink>>(

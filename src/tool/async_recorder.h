@@ -74,16 +74,9 @@ class AsyncRecorder {
     return recorder_.stats();
   }
 
-  /// Null when compression_workers == 0.
-  [[nodiscard]] const store::CompressionService* compression()
-      const noexcept {
-    return service_.get();
-  }
-
  private:
   void worker_loop(std::stop_token stop);
 
-  runtime::RecordStore* store_;
   StreamRecorder recorder_;  ///< touched only by the worker thread
   std::unique_ptr<store::CompressionService> service_;  ///< may be null
   std::unique_ptr<FrameSink> sink_;

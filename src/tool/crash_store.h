@@ -27,11 +27,7 @@ class CrashingStore final : public runtime::RecordStore {
 
   void append(const runtime::StreamKey& key,
               std::span<const std::uint8_t> bytes) override {
-    if (appends_ >= budget_) {
-      crashed_ = true;
-      ++dropped_;
-      return;
-    }
+    if (appends_ >= budget_) return;  // crashed: the append is lost
     ++appends_;
     inner_->append(key, bytes);
   }
@@ -51,21 +47,14 @@ class CrashingStore final : public runtime::RecordStore {
     return inner_->rank_bytes(rank);
   }
 
-  /// True once at least one append was dropped.
-  [[nodiscard]] bool crashed() const noexcept { return crashed_; }
   [[nodiscard]] std::uint64_t appends_forwarded() const noexcept {
     return appends_;
-  }
-  [[nodiscard]] std::uint64_t appends_dropped() const noexcept {
-    return dropped_;
   }
 
  private:
   runtime::RecordStore* inner_;
   std::uint64_t budget_;
   std::uint64_t appends_ = 0;
-  std::uint64_t dropped_ = 0;
-  bool crashed_ = false;
 };
 
 }  // namespace cdc::tool

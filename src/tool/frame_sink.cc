@@ -8,10 +8,13 @@ namespace cdc::tool {
 
 namespace {
 
-/// Counts a sink-local scratch reuse under the same obs names the
+/// Encodes `job` into `scratch`'s recycled capacity and appends the frame
+/// to `store`. Counts the scratch reuse under the same obs names the
 /// CompressionService pool uses, so record_inspector --stats sees one
 /// consolidated pool hit-rate regardless of which path encoded.
-void count_scratch_reuse(const std::vector<std::uint8_t>& scratch) {
+void encode_and_append(runtime::RecordStore& store,
+                       const runtime::StreamKey& key, const FrameJob& job,
+                       std::vector<std::uint8_t>& scratch) {
   static obs::Counter& pool_hits = obs::counter("store.pool.hits");
   static obs::Counter& pool_misses = obs::counter("store.pool.misses");
   static obs::Counter& pool_recycled =
@@ -22,6 +25,13 @@ void count_scratch_reuse(const std::vector<std::uint8_t>& scratch) {
   } else {
     pool_misses.add(1);
   }
+  std::vector<std::uint8_t> encoded =
+      encode_frame_into(job, std::move(scratch));
+  if (job.epoch.has_value())
+    store.append_epoch(key, encoded, *job.epoch);
+  else
+    store.append(key, encoded);
+  scratch = std::move(encoded);  // the store copied; keep the capacity
 }
 
 }  // namespace
@@ -32,14 +42,7 @@ InlineFrameSink::InlineFrameSink(runtime::RecordStore* store)
 }
 
 void InlineFrameSink::submit(const runtime::StreamKey& key, FrameJob job) {
-  count_scratch_reuse(scratch_);
-  std::vector<std::uint8_t> encoded =
-      encode_frame_into(job, std::move(scratch_));
-  if (job.epoch.has_value())
-    store_->append_epoch(key, encoded, *job.epoch);
-  else
-    store_->append(key, encoded);
-  scratch_ = std::move(encoded);  // the store copied; keep the capacity
+  encode_and_append(*store_, key, job, scratch_);
 }
 
 AsyncFrameSink::AsyncFrameSink(store::CompressionService* service)
@@ -65,14 +68,7 @@ RetryingFrameSink::RetryingFrameSink(runtime::RecordStore* store,
     : retrying_(store, policy, std::move(quarantine_path)) {}
 
 void RetryingFrameSink::submit(const runtime::StreamKey& key, FrameJob job) {
-  count_scratch_reuse(scratch_);
-  std::vector<std::uint8_t> encoded =
-      encode_frame_into(job, std::move(scratch_));
-  if (job.epoch.has_value())
-    retrying_.append_epoch(key, encoded, *job.epoch);
-  else
-    retrying_.append(key, encoded);
-  scratch_ = std::move(encoded);  // appended or quarantined by copy
+  encode_and_append(retrying_, key, job, scratch_);  // or quarantined
 }
 
 }  // namespace cdc::tool

@@ -1,5 +1,6 @@
 #include "tool/recorder.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "obs/metrics.h"
@@ -15,6 +16,7 @@ Recorder::Recorder(int num_ranks, runtime::RecordStore* store,
       inline_sink_(store),
       sink_(sink != nullptr ? sink : &inline_sink_),
       clocks_(static_cast<std::size_t>(num_ranks)),
+      streams_(static_cast<std::size_t>(num_ranks)),
       digests_(static_cast<std::size_t>(num_ranks),
                0xcbf29ce484222325ull) {
   CDC_CHECK(store != nullptr && num_ranks >= 1);
@@ -36,22 +38,17 @@ std::uint64_t Recorder::order_digest() const {
   return combined;
 }
 
-StreamRecorder& Recorder::stream(minimpi::Rank rank,
-                                 minimpi::CallsiteId callsite) {
-  const runtime::StreamKey key{
-      rank, options_.identify_callsites ? callsite : 0};
-  // Workers of the parallel executor race only on the map shape (each
-  // stream is touched by its owning rank's worker alone); node-based map
-  // iterators and the unique_ptr targets stay valid across rehash-free
-  // inserts, so the lock covers exactly the lookup/insert.
-  std::lock_guard<std::mutex> lock(streams_mu_);
-  auto it = streams_.find(key);
-  if (it == streams_.end()) {
-    it = streams_
-             .emplace(key, std::make_unique<StreamRecorder>(key, options_))
-             .first;
-  }
-  return *it->second;
+Recorder::Stream& Recorder::stream(minimpi::Rank rank,
+                                   minimpi::CallsiteId callsite) {
+  if (!options_.identify_callsites) callsite = 0;
+  auto& row = streams_[static_cast<std::size_t>(rank)];
+  auto it = std::find_if(row.begin(), row.end(), [callsite](const auto& s) {
+    return s->rec.key().callsite >= callsite;
+  });
+  if (it == row.end() || (*it)->rec.key().callsite != callsite)
+    it = row.insert(it, std::make_unique<Stream>(
+                            runtime::StreamKey{rank, callsite}, options_));
+  return **it;
 }
 
 std::uint64_t Recorder::on_send(minimpi::Rank sender) {
@@ -64,7 +61,7 @@ minimpi::SelectResult Recorder::select(
     std::size_t total_requests, bool blocking) {
   // Record mode: sight candidates for epoch enforcement, then pass the
   // matching decision through unchanged.
-  StreamRecorder& rec = stream(rank, callsite);
+  StreamRecorder& rec = stream(rank, callsite).rec;
   for (const minimpi::Candidate& c : candidates)
     if (c.fresh) rec.on_candidate(clock::MessageId{c.source, c.piggyback});
   return ToolHooks::select(rank, callsite, kind, candidates, total_requests,
@@ -75,13 +72,14 @@ void Recorder::on_unmatched_test(minimpi::Rank rank,
                                  minimpi::CallsiteId callsite) {
   if (options_.tick_on_unmatched_test)
     clocks_[static_cast<std::size_t>(rank)].tick();
-  stream(rank, callsite).on_unmatched_test();
+  stream(rank, callsite).rec.on_unmatched_test();
 }
 
 void Recorder::on_deliver(minimpi::Rank rank, minimpi::CallsiteId callsite,
                           minimpi::MFKind /*kind*/,
                           std::span<const minimpi::Completion> events) {
-  StreamRecorder& rec = stream(rank, callsite);
+  Stream& s = stream(rank, callsite);
+  StreamRecorder& rec = s.rec;
   auto& clock = clocks_[static_cast<std::size_t>(rank)];
   for (std::size_t i = 0; i < events.size(); ++i) {
     const minimpi::Completion& e = events[i];
@@ -99,7 +97,15 @@ void Recorder::on_deliver(minimpi::Rank rank, minimpi::CallsiteId callsite,
     if (rank == options_.clock_trace_rank)
       clock_trace_.push_back(e.piggyback);
   }
-  if (staged_) return;  // deferred to on_window (coordinator, quiesced)
+  if (staged_) {  // build on the rank's own worker; on_window appends
+    const bool was_empty = s.staged.empty();
+    rec.flush_if_due(s);
+    if (was_empty && !s.staged.empty()) {
+      const std::lock_guard<std::mutex> lock(due_mu_);
+      due_.push_back(&s);
+    }
+    return;
+  }
   const std::uint64_t chunks_before = rec.stats().chunks;
   rec.flush_if_due(*sink_);
   if (options_.checkpoint_interval > 0)
@@ -109,18 +115,26 @@ void Recorder::on_deliver(minimpi::Rank rank, minimpi::CallsiteId callsite,
 void Recorder::on_parallel_start(int /*workers*/) { staged_ = true; }
 
 void Recorder::on_window(double /*horizon*/) {
-  if (!staged_) return;
-  // Every worker is quiesced at the window barrier: flush due chunks for
-  // all streams in canonical key order. Window boundaries are worker-
-  // count-invariant, so the chunk sequence — and the sealed container —
-  // is too.
-  std::uint64_t new_chunks = 0;
-  for (auto& [key, rec] : streams_) {
-    const std::uint64_t chunks_before = rec->stats().chunks;
-    rec->flush_if_due(*sink_);
-    new_chunks += rec->stats().chunks - chunks_before;
-  }
+  const std::uint64_t new_chunks = submit_due();
   if (options_.checkpoint_interval > 0) checkpoint(new_chunks);
+}
+
+std::uint64_t Recorder::submit_due() {
+  // Workers are quiesced (window barrier or run end): the lock is
+  // uncontended, and key order makes the container worker-count-invariant.
+  const std::lock_guard<std::mutex> lock(due_mu_);
+  std::sort(due_.begin(), due_.end(), [](const Stream* a, const Stream* b) {
+    return a->rec.key() < b->rec.key();
+  });
+  std::uint64_t submitted = 0;
+  for (Stream* s : due_) {
+    for (FrameJob& job : s->staged)
+      sink_->submit(s->rec.key(), std::move(job));
+    submitted += s->staged.size();
+    s->staged.clear();
+  }
+  due_.clear();
+  return submitted;
 }
 
 void Recorder::checkpoint(std::uint64_t new_chunks) {
@@ -143,38 +157,41 @@ void Recorder::checkpoint(std::uint64_t new_chunks) {
 }
 
 void Recorder::finalize() {
-  obs::TraceSpan span("record.finalize", -1, "streams", streams_.size());
-  for (auto& [key, rec] : streams_) rec->finalize(*sink_);
+  std::size_t count = 0;
+  for (const auto& row : streams_) count += row.size();
+  obs::TraceSpan span("record.finalize", -1, "streams", count);
+  submit_due();
+  for (auto& row : streams_)
+    for (auto& s : row) s->rec.finalize(*sink_);
 }
 
 Recorder::Totals Recorder::totals() const {
   Totals totals;
-  for (const auto& [key, rec] : streams_) {
-    const auto& s = rec->stats();
-    totals.matched_events += s.matched_events;
-    totals.unmatched_events += s.unmatched_events;
-    totals.moves += s.moves;
-    totals.chunks += s.chunks;
-    totals.stored_values += s.stored_values;
-    totals.rows += s.rows;
+  for (const auto& row : streams_) {
+    for (const auto& s : row) {
+      const auto& st = s->rec.stats();
+      totals.matched_events += st.matched_events;
+      totals.unmatched_events += st.unmatched_events;
+      totals.moves += st.moves;
+      totals.chunks += st.chunks;
+      totals.stored_values += st.stored_values;
+      totals.rows += st.rows;
+    }
   }
   return totals;
 }
 
 std::vector<double> Recorder::permutation_percentages() const {
-  std::map<minimpi::Rank, std::pair<std::uint64_t, std::uint64_t>> by_rank;
-  for (const auto& [key, rec] : streams_) {
-    auto& [moves, matched] = by_rank[key.rank];
-    moves += rec->stats().moves;
-    matched += rec->stats().matched_events;
-  }
   std::vector<double> out;
-  out.reserve(by_rank.size());
-  for (const auto& [rank, counts] : by_rank) {
-    const auto& [moves, matched] = counts;
-    out.push_back(matched > 0 ? static_cast<double>(moves) /
-                                    static_cast<double>(matched)
-                              : 0.0);
+  for (const auto& row : streams_) {
+    if (row.empty()) continue;  // a rank without streams has no entry
+    double moves = 0.0;
+    double matched = 0.0;
+    for (const auto& s : row) {
+      moves += static_cast<double>(s->rec.stats().moves);
+      matched += static_cast<double>(s->rec.stats().matched_events);
+    }
+    out.push_back(matched > 0.0 ? moves / matched : 0.0);
   }
   return out;
 }

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -43,20 +42,18 @@ class Recorder : public minimpi::ToolHooks {
   void on_deliver(minimpi::Rank rank, minimpi::CallsiteId callsite,
                   minimpi::MFKind kind,
                   std::span<const minimpi::Completion> events) override;
-  /// Parallel executor attached: switch to staged flushing. Per-rank state
-  /// (clocks, digests, stream recorders) is owner-serialized by the
-  /// executor's one-task-per-rank-per-window rule; the stream map itself
-  /// takes a mutex on first-touch; and chunk flush/checkpoint I/O moves
-  /// from on_deliver to on_window so it happens single-threaded, in
-  /// canonical key order — which also makes the sealed container
-  /// byte-identical for every worker count. Record byte-identity relies on
-  /// the inline sink: do not pair a parallel record run with AsyncFrameSink
-  /// when comparing container bytes.
+  /// Parallel executor attached. Per-rank state (clocks, digests, streams)
+  /// is owner-serialized by the one-task-per-rank-per-window rule, so
+  /// lookups take no lock. on_deliver still builds chunks, on the rank's
+  /// worker, but stages the frames on their stream for on_window.
   void on_parallel_start(int workers) override;
-  /// Window quiesce point: flush every stream's due chunks in key order.
+  /// Window quiesce point: submits the staged frames in canonical key
+  /// order (so the container is the same for every worker count), then
+  /// checkpoints.
   void on_window(double horizon) override;
 
-  /// Flushes every stream; call once after Simulator::run() returns.
+  /// Submits any staged frames, then flushes every stream; call once after
+  /// Simulator::run() returns.
   void finalize();
 
   /// Checkpoint syncs that threw IoError (see ToolOptions::
@@ -66,14 +63,8 @@ class Recorder : public minimpi::ToolHooks {
   }
 
   // --- Introspection for the evaluation harnesses.
-  struct Totals {
-    std::uint64_t matched_events = 0;
-    std::uint64_t unmatched_events = 0;
-    std::uint64_t moves = 0;
-    std::uint64_t chunks = 0;
-    std::uint64_t stored_values = 0;
-    std::uint64_t rows = 0;
-  };
+  /// Every stream's StreamRecorder::Stats, summed.
+  using Totals = StreamRecorder::Stats;
   [[nodiscard]] Totals totals() const;
 
   /// Np / N per rank (Figure 14).
@@ -89,12 +80,23 @@ class Recorder : public minimpi::ToolHooks {
   /// property; cross-rank interleaving is not).
   [[nodiscard]] std::uint64_t order_digest() const;
 
-  [[nodiscard]] const ToolOptions& options() const noexcept {
-    return options_;
-  }
-
  private:
-  StreamRecorder& stream(minimpi::Rank rank, minimpi::CallsiteId callsite);
+  /// One (rank, callsite) stream. As a FrameSink it stages the frames its
+  /// recorder builds in parallel mode until the next window barrier.
+  struct Stream final : FrameSink {
+    Stream(const runtime::StreamKey& key, const ToolOptions& options)
+        : rec(key, options) {}
+    void submit(const runtime::StreamKey& /*key*/, FrameJob job) override {
+      staged.push_back(std::move(job));
+    }
+    StreamRecorder rec;
+    std::vector<FrameJob> staged;
+  };
+
+  Stream& stream(minimpi::Rank rank, minimpi::CallsiteId callsite);
+  /// Hands every due stream's staged frames to the sink in key order;
+  /// returns how many frames it submitted.
+  std::uint64_t submit_due();
   /// Issues a store durability barrier once enough chunks have flushed.
   void checkpoint(std::uint64_t new_chunks);
 
@@ -102,12 +104,14 @@ class Recorder : public minimpi::ToolHooks {
   runtime::RecordStore* store_;
   InlineFrameSink inline_sink_;
   FrameSink* sink_;  ///< &inline_sink_ unless the caller provided one
-  /// True between on_parallel_start and finalize: flushes are deferred to
-  /// on_window.
+  /// Set by on_parallel_start: built frames are staged until on_window.
   bool staged_ = false;
   std::vector<clock::LamportClock> clocks_;
-  std::mutex streams_mu_;  ///< guards the map shape only, not the streams
-  std::map<runtime::StreamKey, std::unique_ptr<StreamRecorder>> streams_;
+  /// Per rank, that rank's streams sorted by callsite. Only the rank's
+  /// owning worker touches its row; the pointers stay put for due_.
+  std::vector<std::vector<std::unique_ptr<Stream>>> streams_;
+  std::mutex due_mu_;         ///< guards due_ only
+  std::vector<Stream*> due_;  ///< streams whose staged list is non-empty
   std::vector<std::uint64_t> clock_trace_;
   std::vector<std::uint64_t> digests_;
   std::uint64_t chunks_since_checkpoint_ = 0;

@@ -23,15 +23,21 @@ thread_local std::size_t t_allocations = 0;
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Out of line, like the deletes below: once GCC 12 inlines a replacement
+// into a caller it pairs the inlined malloc or free with the operator new
+// or delete call on the other side and reports -Wmismatched-new-delete,
+// although both replacements use malloc/free.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   if (t_counting) ++t_allocations;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace cdc::compress {
 namespace {

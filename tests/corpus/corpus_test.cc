@@ -150,7 +150,11 @@ TEST_F(CorpusTest, EncodingSelectionPicksTheCheapestForm) {
     streams[key] = std::move(bytes);
     runtime::MemoryStore record;
     fill_store(record, streams);
-    corpus.add_member(family, "t" + std::to_string(originals.size()), record);
+    // Appended, not `"t" + std::to_string(...)`: GCC 12 reports a false
+    // -Wrestrict on that operator+ in Release builds.
+    std::string name = "t";
+    name += std::to_string(originals.size());
+    corpus.add_member(family, name, record);
     originals.push_back(std::move(streams));
   };
 
@@ -234,8 +238,9 @@ TEST_F(CorpusTest, PinningReElectsTheReferenceForLaterMembers) {
     runtime::MemoryStore record;
     fill_store(record, streams);
     // Member 2 is pinned: members 0-1 delta against 0, member 3 against 2.
-    corpus.add_member("fam", "m" + std::to_string(m), record,
-                      /*pin_reference=*/m == 2);
+    std::string name = "m";
+    name += std::to_string(m);
+    corpus.add_member("fam", name, record, /*pin_reference=*/m == 2);
     originals.push_back(std::move(streams));
   }
   corpus.seal();

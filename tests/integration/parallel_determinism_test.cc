@@ -25,6 +25,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +35,7 @@
 #include "apps/taskfarm.h"
 #include "minimpi/fault.h"
 #include "minimpi/simulator.h"
+#include "store/compression_service.h"
 #include "store/container_store.h"
 #include "support/oracle.h"
 #include "tool/options.h"
@@ -152,18 +154,30 @@ void remove_container(RunArtifacts& art) {
   art.container_path.clear();
 }
 
+/// Records one run. `async_sink` routes frames through an AsyncFrameSink
+/// on a two-worker CompressionService instead of the recorder's inline
+/// sink; the sealed bytes must not depend on that choice.
 RunArtifacts record_run(const Workload& workload, std::uint64_t seed,
-                        const minimpi::FaultPlan& plan, int workers) {
+                        const minimpi::FaultPlan& plan, int workers,
+                        bool async_sink = false) {
   RunArtifacts art;
   art.container_path =
       fresh_container_path(workload.name + "_w" + std::to_string(workers));
   store::ContainerStore container(art.container_path);
-  tool::Recorder recorder(workload.ranks, &container, tool_options());
+  std::optional<store::CompressionService> service;
+  std::optional<tool::AsyncFrameSink> sink;
+  if (async_sink) {
+    service.emplace(&container);
+    sink.emplace(&*service);
+  }
+  tool::Recorder recorder(workload.ranks, &container, tool_options(),
+                          sink ? &*sink : nullptr);
   support::OrderProbe probe(&recorder);
   minimpi::Simulator sim(sim_config(workload, mix(seed), plan, workers),
                          &probe);
   art.value = workload.run(sim);
   recorder.finalize();
+  if (service) service->drain();
   container.seal();
   art.container_bytes = read_bytes(art.container_path);
   art.trace = probe.trace();
@@ -260,6 +274,30 @@ TEST(ParallelDeterminism, TaskfarmByteIdenticalAcrossWorkerCounts) {
 TEST(ParallelDeterminism, McbByteIdenticalAcrossWorkerCounts) {
   run_suite(mcb_workload(), 1, {});
   run_suite(mcb_workload(), 42, all_faults(mix(42)));
+}
+
+// The staged frames reach the sink single-threaded, in key order, at each
+// window barrier; an async sink commits them in submission order, so it
+// must seal the inline sink's bytes at every worker count.
+TEST(ParallelDeterminism, McbAsyncSinkByteIdenticalAcrossWorkerCounts) {
+  const Workload workload = mcb_workload();
+  for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{42}}) {
+    const minimpi::FaultPlan plan =
+        seed == 1 ? minimpi::FaultPlan{} : all_faults(mix(seed));
+    RunArtifacts reference = record_run(workload, seed, plan, 1);
+    ASSERT_FALSE(reference.container_bytes.empty());
+    for (const int workers : {1, 2, 4}) {
+      RunArtifacts art =
+          record_run(workload, seed, plan, workers, /*async_sink=*/true);
+      EXPECT_EQ(art.container_bytes, reference.container_bytes)
+          << "seed=" << seed << " workers=" << workers
+          << ": async-sink container differs from the inline sink's";
+      EXPECT_EQ(art.order_digest, reference.order_digest)
+          << "seed=" << seed << " workers=" << workers;
+      remove_container(art);
+    }
+    remove_container(reference);
+  }
 }
 
 TEST(ParallelDeterminism, JacobiByteIdenticalAcrossWorkerCounts) {
